@@ -19,7 +19,6 @@ from .models import (
     PKModel,
     SimBudget,
     Stat5Model,
-    Theta,
     ToyModel,
     linear_eig_oracle,
 )
@@ -36,7 +35,6 @@ __all__ = [
     "grad_check",
     "dual",
     "Design",
-    "Theta",
     "SimBudget",
     "Model",
     "LinearModel",

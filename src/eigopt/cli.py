@@ -3,7 +3,7 @@
 Subcommands tie models, estimators, the optimizer, and validation into
 reproducible runs that leave CSV artifacts plus a run_meta.json record
 (config hash, seed, versions) in the output directory.  All results are a
-pure function of the config and seed; --threads may change wall time only.
+pure function of the config and seed.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from . import selftest as selftest_mod
 
 def _load_config(args) -> ExperimentConfig:
     cfg = ExperimentConfig.from_yaml(args.config)
-    return cfg.with_overrides(seed=args.seed, out_dir=args.out, threads=args.threads)
+    return cfg.with_overrides(seed=args.seed, out_dir=args.out)
 
 
 def _write_run_meta(cfg: ExperimentConfig, command: str, out: Path) -> None:
@@ -39,7 +39,6 @@ def _write_run_meta(cfg: ExperimentConfig, command: str, out: Path) -> None:
         "command": command,
         "config_sha256": cfg.config_hash(),
         "seed": cfg.seed,
-        "threads": cfg.threads,
         "versions": {
             "eigopt": __version__,
             "numpy": np.__version__,
@@ -206,7 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--config", required=True, help="YAML experiment config")
         p.add_argument("--seed", type=int, default=None, help="override config seed")
         p.add_argument("--out", default=None, help="override output directory")
-        p.add_argument("--threads", type=int, default=None, help="worker count (wall time only)")
 
     p = sub.add_parser("optimize", help="run design optimization")
     common(p)

@@ -175,7 +175,6 @@ class ExperimentConfig:
     model: ModelConfig
     seed: int = 0
     out_dir: str = "runs/out"
-    threads: int = 1
     sampler: SamplerConfig = field(default_factory=SamplerConfig)
     optim: OptimConfig = field(default_factory=lambda: OptimConfig(seed=0))
     validate: ValidateConfig = field(default_factory=ValidateConfig)
@@ -194,7 +193,6 @@ class ExperimentConfig:
         model = ModelConfig.from_dict(raw.pop("model"))
         seed = int(_take(raw, "top level", "seed", 0))
         out_dir = str(_take(raw, "top level", "out_dir", "runs/out"))
-        threads = int(_positive(_take(raw, "top level", "threads", 1), "threads", int))
         sampler = _sampler_from_dict(raw.pop("sampler", {}))
         validate = ValidateConfig.from_dict(raw.pop("validate", {}))
         bias = BiasStudyConfig.from_dict(raw.pop("bias_study", {}))
@@ -238,7 +236,6 @@ class ExperimentConfig:
             model=model,
             seed=seed,
             out_dir=out_dir,
-            threads=threads,
             sampler=sampler,
             optim=optim,
             validate=validate,
@@ -258,15 +255,13 @@ class ExperimentConfig:
             raise ConfigError(f"config parse error in {path}: {exc}") from None
         return cls.from_dict(raw if raw is not None else {})
 
-    def with_overrides(self, seed: int | None = None, out_dir: str | None = None,
-                       threads: int | None = None) -> "ExperimentConfig":
+    def with_overrides(self, seed: int | None = None,
+                       out_dir: str | None = None) -> "ExperimentConfig":
         raw = json.loads(json.dumps(self.raw))
         if seed is not None:
             raw["seed"] = int(seed)
         if out_dir is not None:
             raw["out_dir"] = str(out_dir)
-        if threads is not None:
-            raw["threads"] = int(threads)
         return ExperimentConfig.from_dict(raw)
 
     def config_hash(self) -> str:

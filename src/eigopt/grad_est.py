@@ -6,7 +6,11 @@ along reparameterized sampling paths y = g(theta, eps, lam):
 * `ueeg_mcmc_gradient` - contrasts each sample's own log likelihood against
   posterior samples for its observation; unbiased when the posterior
   sampling is exact, and any MCMC chain here starts at the generating theta,
-  which is already an exact posterior draw for its own observation.
+  which is already an exact posterior draw for its own observation.  With
+  an MCMC sampler it charges M own forwards plus one per distinct chain
+  state with a finite prior.  The kept draws' tangents come from one
+  batched dual forward that is not charged: every kept draw is a chain
+  state whose forward was already paid for (the start's by the own batch).
 * `beeg_ap_gradient`   - replaces the posterior by a softmax over one shared
   batch of prior atoms; algebraically the gradient of the sample-reuse EIG
   estimator, at cost M forward evaluations per call.
@@ -24,8 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dual
+from .eig_est import _draw_batch
 from .errors import EstimatorError
-from .models.base import Model, SimBudget, Theta, design_values
+from .models.base import Model, SimBudget, design_values
 from .samplers import SamplerConfig, posterior_draws
 
 __all__ = ["GradEstimate", "ueeg_mcmc_gradient", "beeg_ap_gradient", "pce_gradient"]
@@ -41,10 +46,6 @@ class GradEstimate:
     def __post_init__(self):
         if not np.all(np.isfinite(self.gradient)):
             raise EstimatorError("non-finite gradient estimate")
-
-
-def _draw_batch(model: Model, rng: np.random.Generator, size: int):
-    return model.sample_prior_values(rng, size), model.sample_noise_values(rng, size)
 
 
 def softmax_rows(ll: np.ndarray) -> np.ndarray:
@@ -161,7 +162,9 @@ def ueeg_mcmc_gradient(
     derivative is contrasted with the average over sampler_cfg.n_samples
     posterior draws.  With kind="exact" the posterior draws are exact and
     the estimator is unbiased; MCMC kinds contribute only sampling bias.
-    Costs at most M * (chain evaluations + 1) forward passes.
+    Costs M forward evaluations plus, with kind="exact", M*N for the draws
+    and, with an MCMC kind, one per chain target evaluation with a finite
+    prior away from the chain's start.
     """
     budget = budget if budget is not None else SimBudget()
     budget.new_design_version()
@@ -175,42 +178,39 @@ def ueeg_mcmc_gradient(
         if batch_sampler is None:
             raise EstimatorError(f"model {model.name} has no exact posterior sampler")
         thetas, eps = _draw_batch(model, rng, M)
-        f = model.forward(thetas, lam_dual)
-        budget.charge(M)
-        y = model.observe(f, eps)
-        post = batch_sampler(y.value, lam_v, N, rng)
-        f_post = model.forward(post, lam_dual)
-        budget.charge(M * N)
-        _, d_dy0, d_df0 = model.log_density_value_and_partials(y.value, f.value)
-        _, d_dyp, d_dfp = model.log_density_value_and_partials(
-            y.value[:, None, :], f_post.value
-        )
-        g_own = np.einsum("at,atk->k", d_dy0, y.tangent) + np.einsum(
-            "at,atk->k", d_df0, f.tangent
-        )
-        coeff = np.full((M, N), 1.0 / N)
-        g_post = _contract(coeff, d_dyp, d_dfp, y.tangent, f_post.tangent, f_per_row=True)
-        grad = (g_own - g_post) / M
-        return GradEstimate(grad, M, N, budget.forward_evals - start)
+    else:
+        # Each outer sample owns a child stream: theta, then eps, then its chain.
+        child_rngs = rng.spawn(M)
+        thetas = np.concatenate([model.sample_prior_values(c, 1) for c in child_rngs])
+        eps = np.concatenate([model.sample_noise_values(c, 1) for c in child_rngs])
+    f = model.forward(thetas, lam_dual)
+    budget.charge(M)
+    y = model.observe(f, eps)
+    model.require_finite(y, thetas, lam_v)
 
-    terms = np.zeros((M, lam_v.size))
-    child_rngs = rng.spawn(M)
-    for i in range(M):
-        theta = Theta(model.sample_prior_values(child_rngs[i], 1)[0])
-        eps = model.sample_noise(child_rngs[i])
-        y = model.simulate(theta, eps, lam_dual, budget)
-        try:
-            draws, _ = posterior_draws(
-                model, y, lam_dual, sampler_cfg, budget, child_rngs[i], init_theta=theta
-            )
-        except Exception as exc:
-            raise EstimatorError(
-                f"posterior chain failed for outer sample {i}: {exc}"
-            ) from exc
-        t_own = model.log_likelihood(y, theta, lam_dual, budget).tangent
-        t_post = np.zeros_like(t_own)
-        for theta_p in draws:
-            t_post += model.log_likelihood(y, theta_p, lam_dual, budget).tangent
-        terms[i] = t_own - t_post / len(draws)
-    grad = terms.mean(axis=0)
+    if sampler_cfg.kind == "exact":
+        post = batch_sampler(y.value, lam_v, N, rng)
+        budget.charge(M * N)
+    else:
+        post = np.empty((M, N, model.theta_dim))
+        for i, child in enumerate(child_rngs):
+            try:
+                post[i] = posterior_draws(
+                    model, y.value[i], lam_v, sampler_cfg, budget, child, init_theta=thetas[i]
+                )
+            except Exception as exc:
+                raise EstimatorError(
+                    f"posterior chain failed for outer sample {i}: {exc}"
+                ) from exc
+    f_post = model.forward(post, lam_dual)
+    _, d_dy0, d_df0 = model.log_density_value_and_partials(y.value, f.value)
+    _, d_dyp, d_dfp = model.log_density_value_and_partials(y.value[:, None, :], f_post.value)
+    # Own-minus-draw differences, averaged over the draws: a draw equal to
+    # its own theta contributes exactly 0, so a chain that never moves
+    # gives an exactly zero term.
+    ay = np.mean(d_dy0[:, None, :] - d_dyp, axis=1)
+    af = np.mean(
+        (d_df0[..., None] * f.tangent)[:, None] - d_dfp[..., None] * f_post.tangent, axis=1
+    )
+    grad = (np.einsum("at,atk->k", ay, y.tangent) + af.sum(axis=(0, 1))) / M
     return GradEstimate(grad, M, N, budget.forward_evals - start)

@@ -1,6 +1,6 @@
 """Model registry: the shared interface plus the four shipped models."""
 
-from .base import Design, Model, SimBudget, Theta, design_values
+from .base import Design, Model, SimBudget, design_values
 from .linear import LinearModel, linear_eig_oracle, linear_eig_value
 from .pk import PKModel
 from .stat5 import EpoRCurve, Stat5Model
@@ -10,7 +10,6 @@ __all__ = [
     "Design",
     "Model",
     "SimBudget",
-    "Theta",
     "design_values",
     "LinearModel",
     "linear_eig_oracle",

@@ -5,7 +5,8 @@ A model's sampling path factors as  y = observe(forward(theta, lam), eps)
 where `forward` is the expensive part.  Cost is measured in distinct
 forward evaluations: simulating many observations or likelihoods for one
 (theta, design) pair costs a single forward pass.  `SimBudget` counts those
-passes and memoizes forward values per (theta identity, design version).
+passes; callers charge it for each distinct (theta, design) pair they
+evaluate.
 
 Models are immutable after construction and shareable across threads;
 budgets are per-worker.
@@ -13,7 +14,6 @@ budgets are per-worker.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -21,22 +21,6 @@ import numpy as np
 
 from .. import dual
 from ..dual import Dual
-
-_theta_counter = itertools.count()
-
-
-class Theta:
-    """A parameter draw with a unique identity used for forward-value caching."""
-
-    __slots__ = ("values", "uid")
-
-    def __init__(self, values):
-        self.values = np.asarray(values, dtype=float)
-        self.uid = next(_theta_counter)
-
-    def __repr__(self) -> str:
-        return f"Theta({self.values!r}, uid={self.uid})"
-
 
 @dataclass(frozen=True)
 class Design:
@@ -136,9 +120,6 @@ class Model:
 
     # -- prior and noise ----------------------------------------------------
 
-    def sample_prior(self, rng: np.random.Generator) -> Theta:
-        return Theta(self._prior_values(rng, None))
-
     def sample_prior_values(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return self._prior_values(rng, size)
 
@@ -147,9 +128,6 @@ class Model:
 
     def log_prior(self, theta_values) -> float:
         raise NotImplementedError
-
-    def sample_noise(self, rng: np.random.Generator) -> np.ndarray:
-        return rng.standard_normal(self.noise_dim)
 
     def sample_noise_values(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return rng.standard_normal((size, self.noise_dim))
@@ -168,24 +146,23 @@ class Model:
         """Apply the noise structure to a forward value (default: additive)."""
         return f + self.noise_sd * np.asarray(eps, dtype=float)
 
-    def simulate(self, theta: Theta, eps, lam, budget: SimBudget):
-        """Draw y = observe(forward(theta, lam), eps); one forward eval per
-        distinct (theta, design version), memoized."""
-        f = budget.cached_forward(theta, lambda: self.forward(theta.values, lam))
-        y = self.observe(f, eps)
-        val = dual.value_of(y)
-        if not np.all(np.isfinite(val)):
+    def require_finite(self, y, theta_values, lam) -> None:
+        """Raise FloatingPointError naming the first theta (rows of
+        theta_values) whose simulated observation y is not finite."""
+        bad = ~np.all(np.isfinite(dual.value_of(y)), axis=-1)
+        if np.any(bad):
+            th = np.asarray(theta_values, dtype=float)
+            i = int(np.argmax(bad)) if bad.ndim else ()
             raise FloatingPointError(
-                f"{self.name}: non-finite observation at theta={theta.values}, "
+                f"{self.name}: non-finite observation at theta={th[i]}, "
                 f"design={design_values(lam)}"
             )
-        return y
 
-    def log_likelihood(self, y, theta: Theta, lam, budget: SimBudget):
-        """log density of y given theta at design lam (total design
-        derivative when y or lam carry tangents)."""
-        f = budget.cached_forward(theta, lambda: self.forward(theta.values, lam))
-        return self.log_density_given_forward(y, f)
+    def log_likelihood(self, y, theta_values, lam):
+        """log density of y given theta_values at design lam (total design
+        derivative when y or lam carry tangents).  Runs one forward; the
+        caller charges it."""
+        return self.log_density_given_forward(y, self.forward(theta_values, lam))
 
     # -- likelihood kernels --------------------------------------------------
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from .. import dual
 from ..dual import Dual
-from .base import Model, Theta, design_values
+from .base import Model, design_values
 
 
 class LinearModel(Model):
@@ -61,12 +61,6 @@ class LinearModel(Model):
         cov = np.linalg.inv(prec)
         mean = cov @ (D.T @ np.asarray(y, dtype=float)) / self.sigma2
         return mean, cov
-
-    def conjugate_posterior_sample(self, y, lam, rng: np.random.Generator) -> Theta:
-        """One exact draw from the posterior given observation y."""
-        mean, cov = self.posterior_moments(y, lam)
-        chol = np.linalg.cholesky(cov)
-        return Theta(mean + chol @ rng.standard_normal(self.theta_dim))
 
     def conjugate_posterior_sample_batch(
         self, ys: np.ndarray, lam, n_draws: int, rng: np.random.Generator

@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import dual
-from .models.base import Model, SimBudget, Theta
+from .models.base import Model, SimBudget, design_values
 
 __all__ = [
     "SamplerConfig",
@@ -54,7 +54,7 @@ class SamplerConfig:
 class Chain:
     """Ordered thinned draws plus sampling diagnostics."""
 
-    draws: list
+    draws: np.ndarray
     accept_rate: float
     thinning: int
     n_target_evals: int
@@ -63,21 +63,23 @@ class Chain:
 def slice_update_1d(
     log_target_slice: Callable[[float], float],
     x0: float,
+    log_fx0: float,
     width: float,
     max_stepout: int,
     rng: np.random.Generator,
 ) -> tuple[float, float, int]:
     """One slice-sampling update of a scalar coordinate.
 
-    Stepping-out then shrinkage; expansion is capped at `max_stepout` steps
-    per side, after which shrinkage takes over (never an error).  Returns
-    (new point, its log target, number of target evaluations).
+    `log_fx0` is the log target at x0, which the caller already holds, so
+    x0 is not evaluated again.  Stepping-out then shrinkage; expansion is
+    capped at `max_stepout` steps per side, after which shrinkage takes over
+    (never an error).  Returns (new point, its log target, number of target
+    evaluations).
     """
-    log_fx = log_target_slice(x0)
-    n_evals = 1
-    if not np.isfinite(log_fx):
+    if not np.isfinite(log_fx0):
         raise ValueError("slice sampling requires a finite log target at x0")
-    log_level = log_fx + np.log(rng.uniform())
+    n_evals = 0
+    log_level = log_fx0 + np.log(rng.uniform())
     r = rng.uniform()
     left = x0 - r * width
     right = left + width
@@ -105,7 +107,7 @@ def slice_update_1d(
             right = x1
         else:
             # Interval shrank to the current point; keep it.
-            return x0, log_fx, n_evals
+            return x0, log_fx0, n_evals
 
 
 @dataclass
@@ -175,12 +177,13 @@ def run_chain(
     """Run an MCMC chain and keep every `thinning`-th state after the start.
 
     `log_target` maps a coordinate vector to a log density; `init` is a
-    vector or Theta with finite log target.  `widths` sets per-coordinate
-    slice widths (defaults to all-ones scaled by cfg.slice_width).
+    vector with finite log target.  `widths` sets per-coordinate slice
+    widths (defaults to all-ones scaled by cfg.slice_width).  The draws are
+    an (n_samples, d) array.
     """
     if cfg.kind == "exact":
         raise ValueError("exact sampling needs a model; use posterior_draws")
-    x = np.array(init.values if isinstance(init, Theta) else init, dtype=float)
+    x = np.array(init, dtype=float)
     log_fx = log_target(x)
     n_evals = 1
     if not np.isfinite(log_fx):
@@ -190,9 +193,9 @@ def run_chain(
         widths = np.ones(d)
     widths = cfg.slice_width * np.asarray(widths, dtype=float)
 
-    draws: list[Theta] = []
+    draws = np.empty((cfg.n_samples, d))
     if cfg.kind == "slice":
-        for _ in range(cfg.n_samples):
+        for i in range(cfg.n_samples):
             for _ in range(cfg.thinning):
                 for coord in rng.permutation(d):
                     def along(v, _c=coord):
@@ -201,19 +204,19 @@ def run_chain(
                         return log_target(trial)
 
                     new, log_fx, used = slice_update_1d(
-                        along, x[coord], widths[coord], cfg.slice_max_stepout, rng
+                        along, x[coord], log_fx, widths[coord], cfg.slice_max_stepout, rng
                     )
                     x = x.copy()
                     x[coord] = new
                     n_evals += used
-            draws.append(Theta(x.copy()))
+            draws[i] = x
         return Chain(draws, accept_rate=1.0, thinning=cfg.thinning, n_target_evals=n_evals)
 
     state = AdaptiveMHState(x=x, log_fx=log_fx, adapt_start=cfg.mh_adapt_start)
-    for _ in range(cfg.n_samples):
+    for i in range(cfg.n_samples):
         for _ in range(cfg.thinning):
             state = adaptive_mh_step(state, log_target, rng)
-        draws.append(Theta(state.x.copy()))
+        draws[i] = state.x
     return Chain(
         draws,
         accept_rate=state.accept_rate,
@@ -229,44 +232,45 @@ def posterior_draws(
     cfg: SamplerConfig,
     budget: SimBudget,
     rng: np.random.Generator,
-    init_theta: Theta | None = None,
-) -> tuple[list[Theta], Chain | None]:
+    init_theta: np.ndarray | None = None,
+) -> np.ndarray:
     """Draw from the posterior of theta given observation y at design lam.
 
-    Returns theta-space draws whose forward values are memoized in `budget`,
-    so a follow-up likelihood evaluation at the same design costs nothing.
-    MCMC kinds start from `init_theta` (no burn-in; see module docstring).
+    Returns an (n_samples, theta_dim) array of theta values.  MCMC kinds
+    start from `init_theta` (no burn-in; see module docstring) and charge
+    `budget` one forward evaluation per target evaluation with a finite
+    prior, except at the start: the caller has already paid for the
+    forward at its own theta, and the target there is evaluated at
+    `init_theta` itself.  A kept draw still at the start is `init_theta`
+    bit for bit, although the round trip through sampling space may not be.
+    The exact kind draws from the model's conjugate posterior and charges
+    nothing.
     """
     y_val = dual.value_of(y)
+    lam_v = design_values(lam)
     if cfg.kind == "exact":
-        sampler = getattr(model, "conjugate_posterior_sample", None)
+        sampler = getattr(model, "conjugate_posterior_sample_batch", None)
         if sampler is None:
             raise ValueError(f"model {model.name} has no exact posterior sampler")
-        draws = [sampler(y_val, lam, rng) for _ in range(cfg.n_samples)]
-        return draws, Chain(draws, 1.0, cfg.thinning, 0)
+        return sampler(y_val[None, :], lam_v, cfg.n_samples, rng)[0]
 
     if init_theta is None:
         raise ValueError("MCMC posterior sampling needs an initial theta")
-    memo: dict[bytes, Theta] = {}
-
-    def theta_for(z: np.ndarray) -> Theta:
-        key = z.tobytes()
-        th = memo.get(key)
-        if th is None:
-            th = Theta(model.from_sampling_space(z))
-            memo[key] = th
-        return th
-
-    z0 = model.to_sampling_space(init_theta.values)
-    memo[z0.tobytes()] = init_theta
+    theta0 = np.asarray(init_theta, dtype=float)
+    z0 = model.to_sampling_space(theta0)
 
     def log_target(z: np.ndarray) -> float:
         lp = model.sampling_log_prior(z)
         if not np.isfinite(lp):
             return -np.inf
-        ll = model.log_likelihood(y_val, theta_for(z), lam, budget)
-        return lp + float(dual.value_of(ll))
+        if np.array_equal(z, z0):
+            theta = theta0
+        else:
+            theta = model.from_sampling_space(z)
+            budget.charge(1)
+        return lp + float(model.log_likelihood(y_val, theta, lam_v))
 
     chain = run_chain(log_target, z0, cfg, rng, widths=model.sampling_scale())
-    draws = [theta_for(np.asarray(z.values, dtype=float)) for z in chain.draws]
-    return draws, chain
+    draws = np.array(model.from_sampling_space(chain.draws), dtype=float)
+    draws[np.all(chain.draws == z0, axis=1)] = theta0
+    return draws

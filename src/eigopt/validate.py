@@ -14,7 +14,7 @@ EIG gradient is available as ground truth.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -98,25 +98,17 @@ def posterior_entropy(
     if trials < 1 or kde_n < 2:
         raise ValueError("need trials >= 1 and kde_n >= 2")
     lam_v = design_values(lam)
-    cfg = SamplerConfig(
-        kind=sampler_cfg.kind,
-        thinning=sampler_cfg.thinning,
-        n_samples=kde_n,
-        slice_width=sampler_cfg.slice_width,
-        slice_max_stepout=sampler_cfg.slice_max_stepout,
-        mh_adapt_start=sampler_cfg.mh_adapt_start,
-    )
+    cfg = replace(sampler_cfg, n_samples=kde_n)
     entropies = np.empty(trials)
     bw = np.zeros(model.theta_dim)
     child = rng.spawn(trials)
     for t in range(trials):
-        budget = SimBudget()
-        theta = model.sample_prior(child[t])
-        eps = model.sample_noise(child[t])
-        y = model.simulate(theta, eps, lam_v, budget)
-        draws, _ = posterior_draws(model, y, lam_v, cfg, budget, child[t], init_theta=theta)
-        pts = np.stack([model.entropy_space(d.values) for d in draws])
-        ent, h = kde_entropy(pts)
+        theta = model.sample_prior_values(child[t], 1)[0]
+        eps = model.sample_noise_values(child[t], 1)[0]
+        y = model.observe(model.forward(theta, lam_v), eps)
+        model.require_finite(y, theta, lam_v)
+        draws = posterior_draws(model, y, lam_v, cfg, SimBudget(), child[t], init_theta=theta)
+        ent, h = kde_entropy(model.entropy_space(draws))
         entropies[t] = ent
         bw += h / trials
     se = float(entropies.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0

@@ -5,7 +5,6 @@ import pytest
 
 from eigopt import dual
 from eigopt.dual import Dual, grad_check, lift_design
-from eigopt.models.base import SimBudget, Theta
 from eigopt.models.linear import linear_eig_value
 from eigopt.models.stat5 import Stat5Model
 
@@ -172,16 +171,15 @@ class TestGradCheck:
     def test_stat5_log_likelihood(self):
         model = Stat5Model(noise_sd=0.3)
         rng = np.random.default_rng(3)
-        theta = Theta(model.sample_prior_values(rng, 1)[0])
-        theta2 = Theta(model.sample_prior_values(rng, 1)[0])
-        eps = model.sample_noise(rng)
+        theta = model.sample_prior_values(rng, 1)[0]
+        theta2 = model.sample_prior_values(rng, 1)[0]
+        eps = model.sample_noise_values(rng, 1)[0]
         # keep design times away from the interpolation grid nodes
         lam = np.sort(rng.uniform(1.0, 59.0, 16))
         lam = np.where(np.abs(lam / 0.25 - np.round(lam / 0.25)) < 0.1, lam + 0.05, lam)
 
         def f(v):
-            budget = SimBudget()
-            y = model.simulate(theta, eps, v, budget)
-            return model.log_likelihood(y, theta2, v, budget)
+            y = model.observe(model.forward(theta, v), eps)
+            return model.log_likelihood(y, theta2, v)
 
         assert grad_check(f, lam) < 1e-4

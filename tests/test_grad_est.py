@@ -17,10 +17,12 @@ from eigopt import (
     srnmc_value,
     ueeg_mcmc_gradient,
 )
+from eigopt.dual import lift_design
 from eigopt.eig_est import pce_value, srnmc_dual_gradient
 from eigopt.errors import EstimatorError
 from eigopt.grad_est import softmax_rows
 from eigopt.rng import substream
+from eigopt.samplers import posterior_draws
 
 # identity/FD checks run the models at noise scales where the atom weights
 # are informative (tiny noise underflows all off-diagonal likelihoods and
@@ -31,6 +33,25 @@ IDENTITY_CASES = [
     (PKModel(), 6),
     (Stat5Model(noise_sd=0.5), 5),
 ]
+
+
+def per_draw_ueeg_reference(model, lam, M, cfg, rng):
+    """UEEG-MCMC gradient with one likelihood tangent per draw, summed
+    draw by draw; each outer sample's child stream draws theta, then eps,
+    then its chain, as in `ueeg_mcmc_gradient`."""
+    lam_dual = lift_design(lam)
+    terms = []
+    for child in rng.spawn(M):
+        theta = model.sample_prior_values(child, 1)[0]
+        eps = model.sample_noise_values(child, 1)[0]
+        y = model.observe(model.forward(theta, lam_dual), eps)
+        draws = posterior_draws(model, y, lam, cfg, SimBudget(), child, init_theta=theta)
+        t_own = model.log_likelihood(y, theta, lam_dual).tangent
+        t_post = np.zeros_like(t_own)
+        for theta_p in draws:
+            t_post += model.log_likelihood(y, theta_p, lam_dual).tangent
+        terms.append(t_own - t_post / len(draws))
+    return np.mean(terms, axis=0)
 
 
 def identity_design(model, rng):
@@ -155,6 +176,38 @@ class TestUeegMcmc:
         # 2*max_stepout + ~60 shrinkage evals; just assert the cheap side
         assert budget.forward_evals >= 4  # at least the simulations
         assert budget.forward_evals < 4 * (5 * 2 * (2 * cfg.slice_max_stepout + 60) + 1)
+
+    @pytest.mark.parametrize(
+        "model,cfg",
+        [
+            (ToyModel(0.1), SamplerConfig(kind="slice", thinning=2, n_samples=5)),
+            (PKModel(), SamplerConfig(kind="adaptive_mh", thinning=5, n_samples=4)),
+        ],
+        ids=["toy-slice", "pk-adaptive_mh"],
+    )
+    def test_batched_matches_per_draw_reference(self, model, cfg):
+        lam = model.random_design(substream(3, "batched", model.name)).values
+        for rep in range(2):
+            g = ueeg_mcmc_gradient(
+                model, lam, 4, cfg, substream(3, "rep", model.name, rep), SimBudget()
+            ).gradient
+            ref = per_draw_ueeg_reference(model, lam, 4, cfg, substream(3, "rep", model.name, rep))
+            assert np.any(ref != 0.0)
+            assert np.max(np.abs(g - ref)) <= 1e-10 * np.max(np.abs(ref)), (rep, g, ref)
+
+    def test_chain_that_accepts_nothing_gives_exact_zero(self):
+        # posterior sd ~1e-6 against a fixed 0.1 proposal sd: no proposal
+        # is accepted, so every draw is the generating theta
+        model = LinearModel(n_obs=3, sigma2=1e-12)
+        cfg = SamplerConfig(kind="adaptive_mh", thinning=5, n_samples=3)
+        M = 4
+        budget = SimBudget()
+        est = ueeg_mcmc_gradient(
+            model, np.array([0.3, -0.5, 0.9]), M, cfg, np.random.default_rng(4), budget
+        )
+        np.testing.assert_array_equal(est.gradient, np.zeros(3))
+        assert budget.forward_evals == M * (1 + cfg.thinning * cfg.n_samples)
+        assert est.forward_evals_used == budget.forward_evals
 
     def test_mcmc_matches_exact_in_expectation(self):
         # slice-sampled posterior vs exact sampler on the same design: both

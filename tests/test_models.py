@@ -1,6 +1,8 @@
 """Model contracts: sampling paths vs densities, budget accounting, and the
 linear-model analytic machinery."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -13,7 +15,6 @@ from eigopt.models import (
     PKModel,
     SimBudget,
     Stat5Model,
-    Theta,
     ToyModel,
     linear_eig_oracle,
 )
@@ -25,6 +26,11 @@ ALL_MODELS = [
     PKModel(),
     Stat5Model(noise_sd=0.3),
 ]
+
+
+def simulate(model, theta_values, eps, lam):
+    """y = observe(forward(theta, lam), eps) for one theta."""
+    return model.observe(model.forward(theta_values, lam), eps)
 
 
 def fixed_design(model, rng):
@@ -76,39 +82,50 @@ class TestPriorAndNoise:
 
     def test_noise_deterministic_per_seed(self):
         m = ToyModel()
-        a = m.sample_noise(np.random.default_rng(5))
-        b = m.sample_noise(np.random.default_rng(5))
+        a = m.sample_noise_values(np.random.default_rng(5), 1)
+        b = m.sample_noise_values(np.random.default_rng(5), 1)
         np.testing.assert_array_equal(a, b)
 
 
 class TestSimulate:
     def test_linear_first_column_is_ones(self):
         m = LinearModel(n_obs=3)
-        y = m.simulate(Theta([1.0, 0.0, 0.0]), np.zeros(3), np.array([0.3, -0.8, 0.5]), SimBudget())
+        y = simulate(m, np.array([1.0, 0.0, 0.0]), np.zeros(3), np.array([0.3, -0.8, 0.5]))
         np.testing.assert_array_equal(y, np.ones(3))
 
     def test_toy_vanishes_at_origin(self):
         m = ToyModel()
-        y = m.simulate(Theta([0.0]), np.zeros(2), np.array([0.0, 0.0]), SimBudget())
+        y = simulate(m, np.array([0.0]), np.zeros(2), np.array([0.0, 0.0]))
         np.testing.assert_array_equal(y, np.zeros(2))
+
+    def test_nonfinite_observation_names_theta_and_design(self):
+        m = ToyModel()
+        y = np.array([[0.1, 0.2], [np.inf, 0.3]])
+        thetas = np.array([[0.25], [0.75]])
+        with pytest.raises(FloatingPointError, match=r"theta=\[0\.75\], design=\[0\.5 0\.5\]"):
+            m.require_finite(y, thetas, np.array([0.5, 0.5]))
+        m.require_finite(y[0], thetas[0], np.array([0.5, 0.5]))
 
     def test_forward_cache_charges_once(self):
         m = PKModel()
         budget = SimBudget()
-        theta = Theta(m.sample_prior_values(np.random.default_rng(0), 1)[0])
+        key = SimpleNamespace(uid=0)
+        theta = m.sample_prior_values(np.random.default_rng(0), 1)[0]
         lam = np.linspace(0.5, 12.0, 10)
-        m.simulate(theta, m.sample_noise(np.random.default_rng(1)), lam, budget)
-        m.simulate(theta, m.sample_noise(np.random.default_rng(2)), lam, budget)
+        a = budget.cached_forward(key, lambda: m.forward(theta, lam))
+        b = budget.cached_forward(key, lambda: m.forward(theta, lam))
+        assert a is b
         assert budget.forward_evals == 1
 
     def test_cache_cleared_on_new_design_version(self):
         m = PKModel()
         budget = SimBudget()
-        theta = Theta(m.sample_prior_values(np.random.default_rng(0), 1)[0])
+        key = SimpleNamespace(uid=0)
+        theta = m.sample_prior_values(np.random.default_rng(0), 1)[0]
         lam = np.linspace(0.5, 12.0, 10)
-        m.simulate(theta, m.sample_noise(np.random.default_rng(1)), lam, budget)
+        budget.cached_forward(key, lambda: m.forward(theta, lam))
         budget.new_design_version()
-        m.simulate(theta, m.sample_noise(np.random.default_rng(2)), lam, budget)
+        budget.cached_forward(key, lambda: m.forward(theta, lam))
         assert budget.forward_evals == 2
 
 
@@ -116,23 +133,22 @@ class TestLogLikelihood:
     def test_gaussian_mode_value(self):
         # scalar additive N(0,1) noise with y exactly at the mean
         m = LinearModel(n_obs=1, sigma2=1.0)
-        theta = Theta([0.3, 0.2, 0.1])
-        budget = SimBudget()
+        theta = np.array([0.3, 0.2, 0.1])
         lam = np.array([0.7])
-        y = m.simulate(theta, np.zeros(1), lam, budget)
-        ll = m.log_likelihood(y, theta, lam, budget)
+        y = simulate(m, theta, np.zeros(1), lam)
+        ll = m.log_likelihood(y, theta, lam)
         np.testing.assert_allclose(ll, -0.5 * np.log(2 * np.pi), rtol=1e-12)
 
     def test_linear_matches_dense_mvn(self):
         m = LinearModel(n_obs=3, sigma2=0.7)
         rng = np.random.default_rng(2)
         lam = rng.uniform(-1, 1, 3)
-        theta = Theta(rng.standard_normal(3))
+        theta = rng.standard_normal(3)
         y = rng.standard_normal(3)
-        got = float(dual.value_of(m.log_likelihood(y, theta, lam, SimBudget())))
+        got = float(dual.value_of(m.log_likelihood(y, theta, lam)))
         # independent dense evaluation of the quadratic form
         D = np.stack([np.ones(3), lam, lam**2], axis=1)
-        mean = D @ theta.values
+        mean = D @ theta
         cov = 0.7 * np.eye(3)
         want = float(stats.multivariate_normal.logpdf(y, mean, cov))
         assert abs(got - want) / abs(want) < 1e-12
@@ -140,15 +156,14 @@ class TestLogLikelihood:
     def test_pk_mixture_matches_marginalized_density(self):
         m = PKModel(mult_sd=0.1, add_sd=np.sqrt(0.1))
         rng = np.random.default_rng(3)
-        theta = Theta(m.sample_prior_values(rng, 1)[0])
+        theta = m.sample_prior_values(rng, 1)[0]
         lam = np.linspace(0.5, 12.0, 10)
-        budget = SimBudget()
         f = dual.value_of(
-            m.simulate(theta, np.zeros(m.noise_dim), lam, budget)
+            simulate(m, theta, np.zeros(m.noise_dim), lam)
         )  # zero noise -> forward values
         for seed in range(3):
-            y = m.simulate(theta, m.sample_noise(np.random.default_rng(seed)), lam, budget)
-            got = float(dual.value_of(m.log_likelihood(y, theta, lam, budget)))
+            y = simulate(m, theta, m.sample_noise_values(np.random.default_rng(seed), 1)[0], lam)
+            got = float(dual.value_of(m.log_likelihood(y, theta, lam)))
             var = 0.01 * f**2 + 0.1
             want = float(np.sum(stats.norm.logpdf(dual.value_of(y), f, np.sqrt(var))))
             np.testing.assert_allclose(got, want, rtol=1e-12)
@@ -157,11 +172,10 @@ class TestLogLikelihood:
         # the analytic marginal must match an empirical density of the
         # two-noise sampling path at a few probe points
         m = PKModel(mult_sd=0.2, add_sd=0.3)
-        theta = Theta(np.array([1.1, 0.09, 19.0]))
+        theta = np.array([1.1, 0.09, 19.0])
         lam = np.array([2.0])
-        budget = SimBudget()
         mdl1 = PKModel(mult_sd=0.2, add_sd=0.3, n_times=1)
-        f = dual.value_of(mdl1.forward(theta.values, lam)).item()
+        f = dual.value_of(mdl1.forward(theta, lam)).item()
         rng = np.random.default_rng(0)
         eps = rng.standard_normal((1_000_000, 2))
         ys = f * (1 + 0.2 * eps[:, 0]) + 0.3 * eps[:, 1]
@@ -174,11 +188,10 @@ class TestLogLikelihood:
 
     def test_never_nan(self):
         m = ToyModel(noise_sd=1e-4)
-        theta = Theta([0.5])
-        budget = SimBudget()
+        theta = np.array([0.5])
         lam = np.array([0.5, 0.5])
         y = np.array([1e9, -1e9])  # absurd observation: underflow territory
-        ll = m.log_likelihood(y, theta, lam, budget)
+        ll = m.log_likelihood(y, theta, lam)
         assert not np.isnan(dual.value_of(ll))
 
 
@@ -189,10 +202,9 @@ class TestSamplingPathConsistency:
     def test_kolmogorov_smirnov(self, model):
         rng = np.random.default_rng(11)
         for rep in range(3):
-            theta = Theta(model.sample_prior_values(rng, 1)[0])
+            theta = model.sample_prior_values(rng, 1)[0]
             lam = fixed_design(model, rng)
-            budget = SimBudget()
-            f = dual.value_of(model.forward(theta.values, lam))
+            f = dual.value_of(model.forward(theta, lam))
             eps = model.sample_noise_values(rng, 10_000)
             ys = dual.value_of(model.observe(f, eps))
             dim = int(rng.integers(model.obs_dim))
@@ -216,16 +228,14 @@ class TestTotalGradient:
     @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.name)
     def test_matches_finite_differences(self, model):
         rng = np.random.default_rng(13)
-        theta = Theta(model.sample_prior_values(rng, 1)[0])
-        theta2 = Theta(model.sample_prior_values(rng, 1)[0])
-        eps = model.sample_noise(rng)
+        theta = model.sample_prior_values(rng, 1)[0]
+        theta2 = model.sample_prior_values(rng, 1)[0]
+        eps = model.sample_noise_values(rng, 1)[0]
         lam = fixed_design(model, rng)
 
         def ll_at(v):
-            budget = SimBudget()
-            y = model.simulate(theta, eps, v, budget)
-            out = model.log_likelihood(y, theta2, v, budget)
-            return out
+            y = simulate(model, theta, eps, v)
+            return model.log_likelihood(y, theta2, v)
 
         tangent = ll_at(lift_design(lam)).tangent
         for k in range(lam.size):
@@ -292,7 +302,9 @@ class TestConjugatePosterior:
         y = np.array([0.5, 1.0])
         draws = np.stack(
             [
-                m.conjugate_posterior_sample(y, lam, np.random.default_rng(s)).values
+                m.conjugate_posterior_sample_batch(
+                    y[None, :], lam, 1, np.random.default_rng(s)
+                )[0, 0]
                 for s in range(20_000)
             ]
         )
