@@ -25,7 +25,7 @@ from .models import (
 from .optim import OptimConfig, Trajectory, optimize
 from .rng import substream
 from .samplers import Chain, SamplerConfig, posterior_draws, run_chain
-from .validate import bias_study, kde_entropy, nmc_validate, posterior_entropy
+from .validate import bias_study, kde_entropy, posterior_entropy
 
 __version__ = "0.1.0"
 
@@ -59,7 +59,6 @@ __all__ = [
     "Trajectory",
     "optimize",
     "posterior_entropy",
-    "nmc_validate",
     "kde_entropy",
     "bias_study",
     "EstimatorError",

@@ -51,21 +51,36 @@ def _write_run_meta(cfg: ExperimentConfig, command: str, out: Path) -> None:
         json.dump(meta, fh, indent=2, sort_keys=True)
 
 
-def _design_from(cfg: ExperimentConfig, model, design_arg: str | None,
+def _design_from(cfg: ExperimentConfig, model, design_arg: str | None = None,
                  trajectory_arg: str | None = None):
+    """The design a command starts from: --design, else the last row of
+    --trajectory, else optim.init, else a uniform draw from substream
+    "design".  A design of the wrong length or outside the model's box is a
+    ConfigError naming its source."""
     if design_arg is not None:
-        values = np.array([float(v) for v in design_arg.split(",")], dtype=float)
-        return model.design(values)
-    if trajectory_arg is not None:
+        source = "--design"
+        try:
+            values = [float(v) for v in design_arg.split(",")]
+        except ValueError:
+            raise ConfigError(f"--design: expected comma-separated numbers, "
+                              f"got {design_arg!r}") from None
+    elif trajectory_arg is not None:
+        source = "--trajectory"
         rows = np.genfromtxt(trajectory_arg, delimiter=",", names=True)
         last = rows[-1] if rows.shape else rows[()]
-        values = np.array(
-            [last[f"lambda_{k}"] for k in range(model.design_dim)], dtype=float
-        )
+        values = [last[f"lambda_{k}"] for k in range(model.design_dim)]
+    elif cfg.init_design is not None:
+        source, values = "optim.init", cfg.init_design
+    else:
+        return model.random_design(substream(cfg.seed, "design"))
+    try:
         return model.design(values)
-    if cfg.init_design is not None:
-        return model.design(cfg.init_design)
-    return model.random_design(substream(cfg.seed, "design"))
+    except ValueError as exc:
+        lower, upper = model.design_bounds()
+        raise ConfigError(
+            f"{source}: {exc}; expected {model.design_dim} values between "
+            f"{lower.tolist()} and {upper.tolist()}"
+        ) from None
 
 
 def cmd_optimize(args) -> int:
@@ -73,10 +88,7 @@ def cmd_optimize(args) -> int:
     model = cfg.build_model()
     out = Path(cfg.out_dir)
     _write_run_meta(cfg, "optimize", out)
-    if cfg.init_design is not None:
-        lam0 = model.design(cfg.init_design)
-    else:
-        lam0 = model.random_design(substream(cfg.seed, "init"))
+    lam0 = _design_from(cfg, model)
     traj = optimize(model, lam0, cfg.optim)
     traj.write_csv(out / "trajectory.csv")
     d = lam0.dim
@@ -163,11 +175,11 @@ def cmd_bias_study(args) -> int:
     out = Path(cfg.out_dir)
     _write_run_meta(cfg, "bias-study", out)
     report = bias_study(
-        sigma2=cfg.bias_study.sigma2,
+        sigma2=cfg.model.params["sigma2"],
         n_designs=cfg.bias_study.n_designs,
         replicates=cfg.bias_study.replicates,
         seed=cfg.seed,
-        n_obs=cfg.model.params.get("n_obs", 3),
+        n_obs=cfg.model.params["n_obs"],
     )
     d = report.rows[0].lam.size
     header = (

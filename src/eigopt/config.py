@@ -1,17 +1,22 @@
 """Experiment configuration: a YAML file with nested sections.
 
-Unknown keys are rejected and every numeric field is range-checked; error
-messages name the offending field path so a typo is easy to find.  One
-64-bit seed drives all randomness through named substreams.
+The `sampler`, `optim`, `validate` and `bias_study` sections parse into
+their dataclasses, whose field defaults are the only defaults.  Unknown
+keys are rejected, every value is checked against the type of the default
+it replaces, and error messages name the offending `section.key` path so a
+typo is easy to find.  One 64-bit seed drives all randomness through named
+substreams.
 """
 
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
+import math
 import os
-from dataclasses import dataclass, field
-from typing import Any, Optional
+from dataclasses import dataclass, field, fields
+from typing import Optional
 
 import numpy as np
 import yaml
@@ -21,13 +26,21 @@ from .models import EpoRCurve, LinearModel, Model, PKModel, Stat5Model, ToyModel
 from .optim import OptimConfig
 from .samplers import SamplerConfig
 
-MODEL_KINDS = ("linear", "toy", "pk", "stat5")
+# The keys each model kind reads from the `model` section; their defaults
+# are the model constructor's.  Every value must be > 0 except pk.mult_sd,
+# which may be 0 (additive noise only).
+MODELS = {
+    "linear": (LinearModel, ("n_obs", "sigma2")),
+    "toy": (ToyModel, ("noise_sd",)),
+    "pk": (PKModel, ("mult_sd", "add_sd")),
+    "stat5": (Stat5Model, ("noise_sd",)),
+}
 
 
-def _take(section: dict, path: str, key: str, default=None, required=False):
-    if required and key not in section:
-        raise ConfigError(f"{path}.{key}: required field missing")
-    return section.pop(key, default)
+def _mapping(raw, path: str) -> dict:
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path}: expected a mapping of keys, got {raw!r}")
+    return dict(raw)
 
 
 def _no_leftovers(section: dict, path: str) -> None:
@@ -35,16 +48,64 @@ def _no_leftovers(section: dict, path: str) -> None:
         raise ConfigError(f"{path}: unknown keys {sorted(section)}")
 
 
-def _positive(value, path: str, kind=float, strict=True):
-    try:
-        value = kind(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{path}: expected a number, got {value!r}") from None
-    if strict and value <= 0:
-        raise ConfigError(f"{path}: must be positive, got {value}")
-    if not strict and value < 0:
-        raise ConfigError(f"{path}: must be nonnegative, got {value}")
+def _number(value, path: str, integral: bool = False, low: float | None = 0.0,
+            strict: bool = True):
+    """A finite number, integral if asked, and > low (>= low unless strict).
+
+    PyYAML reads an exponent without a dot (`1e-2`) as a string, so numeric
+    strings are accepted.
+    """
+    if isinstance(value, str):
+        try:
+            value = float(value)
+        except ValueError:
+            pass
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or (isinstance(value, float) and not math.isfinite(value))):
+        raise ConfigError(f"{path}: expected a number, got {value!r}")
+    if integral:
+        if value != int(value):
+            raise ConfigError(f"{path}: expected an integer, got {value!r}")
+        value = int(value)
+    else:
+        value = float(value)
+    if low is not None and (value <= low if strict else value < low):
+        raise ConfigError(f"{path}: must be {'positive' if strict else 'nonnegative'}, "
+                          f"got {value}")
     return value
+
+
+def _value(value, path: str, default):
+    """`value` checked against the type of the default it replaces: a real
+    bool, a string, an integer > 0, or a number > 0."""
+    if isinstance(default, bool):
+        if not isinstance(value, bool):
+            raise ConfigError(f"{path}: expected true or false, got {value!r}")
+        return value
+    if isinstance(default, str):
+        if not isinstance(value, str):
+            raise ConfigError(f"{path}: expected a string, got {value!r}")
+        return value
+    return _number(value, path, integral=isinstance(default, int))
+
+
+def _section(cls, raw, path: str, exclude: tuple = (), **given):
+    """Build the dataclass `cls` from the YAML mapping `raw` at `path`.
+
+    Every field except those in `exclude` or `given` is an allowed key, and
+    an absent key keeps the field's default.  The dataclass's own checks
+    raise ConfigError too.
+    """
+    raw = _mapping(raw, path)
+    values = dict(given)
+    for f in fields(cls):
+        if f.name in raw and f.name not in exclude and f.name not in given:
+            values[f.name] = _value(raw.pop(f.name), f"{path}.{f.name}", f.default)
+    _no_leftovers(raw, path)
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 @dataclass
@@ -53,77 +114,34 @@ class ModelConfig:
     params: dict = field(default_factory=dict)
 
     @classmethod
-    def from_dict(cls, raw: dict, path: str = "model") -> "ModelConfig":
-        raw = dict(raw)
-        kind = _take(raw, path, "kind", required=True)
-        if kind not in MODEL_KINDS:
-            raise ConfigError(f"{path}.kind: must be one of {MODEL_KINDS}, got {kind!r}")
-        params: dict[str, Any] = {}
-        if kind == "linear":
-            params["n_obs"] = int(_positive(_take(raw, path, "n_obs", 3), f"{path}.n_obs", int))
-            params["sigma2"] = _positive(_take(raw, path, "sigma2", 1.0), f"{path}.sigma2")
-        elif kind == "toy":
-            params["noise_sd"] = _positive(
-                _take(raw, path, "noise_sd", 0.1), f"{path}.noise_sd"
+    def from_dict(cls, raw, path: str = "model") -> "ModelConfig":
+        raw = _mapping(raw, path)
+        kind = raw.pop("kind", None)
+        if not isinstance(kind, str) or kind not in MODELS:
+            raise ConfigError(f"{path}.kind: must be one of {tuple(MODELS)}, got {kind!r}")
+        model_cls, keys = MODELS[kind]
+        defaults = inspect.signature(model_cls).parameters
+        params = {}
+        for key in keys:
+            default = defaults[key].default
+            params[key] = _number(
+                raw.pop(key, default), f"{path}.{key}", integral=isinstance(default, int),
+                strict=(kind, key) != ("pk", "mult_sd"),
             )
-        elif kind == "pk":
-            params["mult_sd"] = _positive(
-                _take(raw, path, "mult_sd", 0.1), f"{path}.mult_sd", strict=False
-            )
-            params["add_sd"] = _positive(
-                _take(raw, path, "add_sd", float(np.sqrt(0.1))), f"{path}.add_sd"
-            )
-        else:
-            params["noise_sd"] = _positive(
-                _take(raw, path, "noise_sd", 1e-2), f"{path}.noise_sd"
-            )
-            epor_csv = _take(raw, path, "epor_csv", None)
-            if epor_csv is not None:
-                if not os.path.exists(epor_csv):
-                    raise ConfigError(f"{path}.epor_csv: file not found: {epor_csv}")
-                params["epor_csv"] = str(epor_csv)
+        epor_csv = raw.pop("epor_csv", None) if kind == "stat5" else None
+        if epor_csv is not None:
+            epor_csv = str(epor_csv)
+            if not os.path.exists(epor_csv):
+                raise ConfigError(f"{path}.epor_csv: file not found: {epor_csv}")
+            params["epor_csv"] = epor_csv
         _no_leftovers(raw, path)
         return cls(kind=kind, params=params)
 
     def build(self) -> Model:
-        if self.kind == "linear":
-            return LinearModel(**self.params)
-        if self.kind == "toy":
-            return ToyModel(**self.params)
-        if self.kind == "pk":
-            return PKModel(**self.params)
         params = dict(self.params)
-        csv_path = params.pop("epor_csv", None)
-        epor = EpoRCurve.from_csv(csv_path) if csv_path else None
-        return Stat5Model(epor=epor, **params)
-
-
-def _sampler_from_dict(raw: dict, path: str = "sampler") -> SamplerConfig:
-    raw = dict(raw)
-    kind = _take(raw, path, "kind", "slice")
-    try:
-        cfg = SamplerConfig(
-            kind=kind,
-            thinning=int(_positive(_take(raw, path, "thinning", 2), f"{path}.thinning", int)),
-            n_samples=int(
-                _positive(_take(raw, path, "n_samples", 10), f"{path}.n_samples", int)
-            ),
-            slice_width=_positive(
-                _take(raw, path, "slice_width", 1.0), f"{path}.slice_width"
-            ),
-            slice_max_stepout=int(
-                _positive(
-                    _take(raw, path, "slice_max_stepout", 8), f"{path}.slice_max_stepout", int
-                )
-            ),
-            mh_adapt_start=int(
-                _positive(_take(raw, path, "mh_adapt_start", 10), f"{path}.mh_adapt_start", int)
-            ),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
-    _no_leftovers(raw, path)
-    return cfg
+        if "epor_csv" in params:
+            params["epor"] = EpoRCurve.from_csv(params.pop("epor_csv"))
+        return MODELS[self.kind][0](**params)
 
 
 @dataclass
@@ -133,41 +151,13 @@ class ValidateConfig:
     nmc_M: int = 2000
     nmc_N: int = 2000
 
-    @classmethod
-    def from_dict(cls, raw: dict, path: str = "validate") -> "ValidateConfig":
-        raw = dict(raw)
-        out = cls(
-            trials=int(_positive(_take(raw, path, "trials", 50), f"{path}.trials", int)),
-            kde_samples=int(
-                _positive(_take(raw, path, "kde_samples", 200), f"{path}.kde_samples", int)
-            ),
-            nmc_M=int(_positive(_take(raw, path, "nmc_M", 2000), f"{path}.nmc_M", int)),
-            nmc_N=int(_positive(_take(raw, path, "nmc_N", 2000), f"{path}.nmc_N", int)),
-        )
-        _no_leftovers(raw, path)
-        return out
-
 
 @dataclass
 class BiasStudyConfig:
-    sigma2: float = 0.1
+    """Sizes of `eigopt bias-study`; sigma2 and n_obs come from `model`."""
+
     n_designs: int = 20
     replicates: int = 100
-
-    @classmethod
-    def from_dict(cls, raw: dict, path: str = "bias_study") -> "BiasStudyConfig":
-        raw = dict(raw)
-        out = cls(
-            sigma2=_positive(_take(raw, path, "sigma2", 0.1), f"{path}.sigma2"),
-            n_designs=int(
-                _positive(_take(raw, path, "n_designs", 20), f"{path}.n_designs", int)
-            ),
-            replicates=int(
-                _positive(_take(raw, path, "replicates", 100), f"{path}.replicates", int)
-            ),
-        )
-        _no_leftovers(raw, path)
-        return out
 
 
 @dataclass
@@ -176,7 +166,7 @@ class ExperimentConfig:
     seed: int = 0
     out_dir: str = "runs/out"
     sampler: SamplerConfig = field(default_factory=SamplerConfig)
-    optim: OptimConfig = field(default_factory=lambda: OptimConfig(seed=0))
+    optim: OptimConfig = field(default_factory=OptimConfig)
     validate: ValidateConfig = field(default_factory=ValidateConfig)
     bias_study: BiasStudyConfig = field(default_factory=BiasStudyConfig)
     init_design: Optional[np.ndarray] = None
@@ -191,46 +181,25 @@ class ExperimentConfig:
         if "model" not in raw:
             raise ConfigError("model: required section missing")
         model = ModelConfig.from_dict(raw.pop("model"))
-        seed = int(_take(raw, "top level", "seed", 0))
-        out_dir = str(_take(raw, "top level", "out_dir", "runs/out"))
-        sampler = _sampler_from_dict(raw.pop("sampler", {}))
-        validate = ValidateConfig.from_dict(raw.pop("validate", {}))
-        bias = BiasStudyConfig.from_dict(raw.pop("bias_study", {}))
+        seed = _number(raw.pop("seed", cls.seed), "seed", integral=True, low=None)
+        out_dir = str(raw.pop("out_dir", cls.out_dir))
+        # The chain length is set by the caller: optim.N for UEEG-MCMC and
+        # validate.kde_samples for entropy, so it is no sampler key.
+        sampler = _section(SamplerConfig, raw.pop("sampler", {}), "sampler",
+                           exclude=("n_samples",))
+        validate = _section(ValidateConfig, raw.pop("validate", {}), "validate")
+        bias = _section(BiasStudyConfig, raw.pop("bias_study", {}), "bias_study")
 
-        opt_raw = dict(raw.pop("optim", {}))
-        init = _take(opt_raw, "optim", "init", None)
+        opt_raw = _mapping(raw.pop("optim", {}), "optim")
+        init = opt_raw.pop("init", None)
         if init is not None:
-            init = np.asarray(init, dtype=float)
-            if init.ndim != 1:
-                raise ConfigError("optim.init: expected a flat list of numbers")
-        try:
-            optim = OptimConfig(
-                estimator=_take(opt_raw, "optim", "estimator", "beeg_ap"),
-                step_rule=_take(opt_raw, "optim", "step_rule", "adam"),
-                learning_rate=_positive(
-                    _take(opt_raw, "optim", "learning_rate", 1e-2), "optim.learning_rate"
-                ),
-                max_forward_evals=int(
-                    _positive(
-                        _take(opt_raw, "optim", "max_forward_evals", 20_000),
-                        "optim.max_forward_evals",
-                        int,
-                    )
-                ),
-                max_steps=int(
-                    _positive(
-                        _take(opt_raw, "optim", "max_steps", 1_000_000), "optim.max_steps", int
-                    )
-                ),
-                M=int(_positive(_take(opt_raw, "optim", "M", 100), "optim.M", int)),
-                N=int(_positive(_take(opt_raw, "optim", "N", 10), "optim.N", int)),
-                fixed_atoms=bool(_take(opt_raw, "optim", "fixed_atoms", False)),
-                seed=seed,
-                sampler=sampler,
-            )
-        except ValueError as exc:
-            raise ConfigError(f"optim: {exc}") from None
-        _no_leftovers(opt_raw, "optim")
+            try:
+                init = np.asarray(init, dtype=float)
+                if init.ndim != 1:
+                    raise ValueError
+            except (TypeError, ValueError):
+                raise ConfigError("optim.init: expected a flat list of numbers") from None
+        optim = _section(OptimConfig, opt_raw, "optim", seed=seed, sampler=sampler)
         _no_leftovers(raw, "top level")
         return cls(
             model=model,

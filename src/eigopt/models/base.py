@@ -121,9 +121,7 @@ class Model:
     # -- prior and noise ----------------------------------------------------
 
     def sample_prior_values(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return self._prior_values(rng, size)
-
-    def _prior_values(self, rng, size):
+        """`size` prior draws as a (size, theta_dim) array."""
         raise NotImplementedError
 
     def log_prior(self, theta_values) -> float:

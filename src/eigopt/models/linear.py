@@ -33,9 +33,8 @@ class LinearModel(Model):
         w = self.design_halfwidth
         return -w * np.ones(self.obs_dim), w * np.ones(self.obs_dim)
 
-    def _prior_values(self, rng, size):
-        shape = (self.theta_dim,) if size is None else (size, self.theta_dim)
-        return rng.standard_normal(shape)
+    def sample_prior_values(self, rng, size):
+        return rng.standard_normal((size, self.theta_dim))
 
     def log_prior(self, theta_values):
         th = np.asarray(theta_values, dtype=float)

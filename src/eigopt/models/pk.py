@@ -48,9 +48,8 @@ class PKModel(Model):
     def design_bounds(self):
         return np.zeros(self.obs_dim), np.full(self.obs_dim, self.max_time)
 
-    def _prior_values(self, rng, size):
-        shape = (self.theta_dim,) if size is None else (size, self.theta_dim)
-        z = rng.standard_normal(shape)
+    def sample_prior_values(self, rng, size):
+        z = rng.standard_normal((size, self.theta_dim))
         return np.exp(_LOG_PRIOR_MEAN + np.sqrt(_LOG_PRIOR_VAR) * z)
 
     def log_prior(self, theta_values):

@@ -150,9 +150,8 @@ class Stat5Model(Model):
     def design_bounds(self):
         return np.zeros(self.n_times), np.full(self.n_times, self.t_max)
 
-    def _prior_values(self, rng, size):
-        shape = (self.theta_dim,) if size is None else (size, self.theta_dim)
-        return rng.uniform(_PRIOR_LOW, _PRIOR_HIGH, size=shape)
+    def sample_prior_values(self, rng, size):
+        return rng.uniform(_PRIOR_LOW, _PRIOR_HIGH, size=(size, self.theta_dim))
 
     def log_prior(self, theta_values):
         th = np.asarray(theta_values, dtype=float)

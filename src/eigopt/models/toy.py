@@ -28,9 +28,8 @@ class ToyModel(Model):
     def design_bounds(self):
         return np.zeros(2), np.ones(2)
 
-    def _prior_values(self, rng, size):
-        shape = (self.theta_dim,) if size is None else (size, self.theta_dim)
-        return rng.uniform(0.0, 1.0, size=shape)
+    def sample_prior_values(self, rng, size):
+        return rng.uniform(0.0, 1.0, size=(size, self.theta_dim))
 
     def log_prior(self, theta_values):
         th = np.asarray(theta_values, dtype=float)

@@ -33,8 +33,6 @@ class OptimConfig:
     estimator: str = "beeg_ap"
     step_rule: str = "adam"
     learning_rate: float = 1e-2
-    adam_betas: tuple[float, float] = (0.9, 0.999)
-    adam_eps: float = 1e-8
     max_forward_evals: int = 20_000
     max_steps: int = 1_000_000
     seed: int = 0
@@ -127,7 +125,11 @@ class AdamRule:
 
 
 def make_grad_fn(model: Model, cfg: OptimConfig):
-    """Bind an estimator to (lam, budget, rng) -> GradEstimate."""
+    """Bind an estimator to (lam, budget, rng) -> GradEstimate.
+
+    UEEG-MCMC keeps N posterior draws per outer sample, whatever
+    cfg.sampler.n_samples says.
+    """
     if cfg.estimator == "beeg_ap":
         fixed_batch = None
         if cfg.fixed_atoms:
@@ -143,7 +145,7 @@ def make_grad_fn(model: Model, cfg: OptimConfig):
         return fn
     if cfg.estimator == "pce":
         return lambda lam, budget, rng: pce_gradient(model, lam, cfg.M, cfg.N, rng, budget)
-    sampler = replace(cfg.sampler, n_samples=cfg.N) if cfg.N else cfg.sampler
+    sampler = replace(cfg.sampler, n_samples=cfg.N)
     return lambda lam, budget, rng: ueeg_mcmc_gradient(model, lam, cfg.M, sampler, rng, budget)
 
 
@@ -158,11 +160,7 @@ def optimize(model: Model, lam0: Design, cfg: OptimConfig, grad_fn=None) -> Traj
     if grad_fn is None:
         grad_fn = make_grad_fn(model, cfg)
     budget = SimBudget()
-    rule = (
-        SgdRule(cfg.learning_rate)
-        if cfg.step_rule == "sgd"
-        else AdamRule(cfg.learning_rate, cfg.adam_betas, cfg.adam_eps)
-    )
+    rule = SgdRule(cfg.learning_rate) if cfg.step_rule == "sgd" else AdamRule(cfg.learning_rate)
     lam = lam0
     traj = Trajectory()
     traj.append(0, lam.values, np.nan, 0, 0.0)

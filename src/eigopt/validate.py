@@ -1,11 +1,11 @@
 """Design-quality validation.
 
-Two complementary scores: high-sample nested Monte Carlo EIG estimates for
-small-information regimes, and average posterior entropy (Gaussian
-product-kernel density estimate, Silverman bandwidths, resubstitution
-entropy) for large-information regimes where nested Monte Carlo would need
-astronomically many samples.  Entropy magnitudes depend on the density
-estimator; only orderings between designs are meaningful.
+Two complementary scores: high-sample nested Monte Carlo EIG estimates
+(`eig_est.nmc_value`) for small-information regimes, and average posterior
+entropy (Gaussian product-kernel density estimate, Silverman bandwidths,
+resubstitution entropy) for large-information regimes where nested Monte
+Carlo would need astronomically many samples.  Entropy magnitudes depend on
+the density estimator; only orderings between designs are meaningful.
 
 Also provides the gradient-bias study on the linear model, where the exact
 EIG gradient is available as ground truth.
@@ -19,10 +19,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import dual
-from .eig_est import EIGEstimate, nmc_value
-from .grad_est import beeg_ap_gradient, pce_gradient, ueeg_mcmc_gradient
-from .models.base import Design, Model, SimBudget, design_values
+from .models.base import Model, SimBudget, design_values
 from .models.linear import LinearModel, linear_eig_oracle
+from .optim import OptimConfig, make_grad_fn
 from .rng import substream
 from .samplers import SamplerConfig, posterior_draws
 
@@ -34,7 +33,6 @@ __all__ = [
     "kde_log_density",
     "silverman_bandwidths",
     "posterior_entropy",
-    "nmc_validate",
     "bias_study",
     "BIAS_STUDY_ESTIMATORS",
 ]
@@ -123,25 +121,18 @@ def posterior_entropy(
     )
 
 
-def nmc_validate(
-    model: Model,
-    lam,
-    rng: np.random.Generator,
-    M: int = 2000,
-    N: int = 2000,
-) -> EIGEstimate:
-    """High-sample nested Monte Carlo EIG for scoring a final design."""
-    return nmc_value(model, lam, M, N, rng, SimBudget())
-
-
 # Per-replicate sample sizes for the gradient-bias study: every estimator
 # spends roughly 100 forward evaluations per replicate except the
 # contrastive baseline, which needs its documented M*(N+1).
 BIAS_STUDY_ESTIMATORS = {
-    "beeg_ap": {"M": 100},
-    "ueeg_exact": {"M": 10, "N": 9},
-    "ueeg_slice": {"M": 4, "N": 3, "thinning": 1},
-    "pce": {"M": 100, "N": 100},
+    "beeg_ap": OptimConfig(estimator="beeg_ap", M=100),
+    "ueeg_exact": OptimConfig(
+        estimator="ueeg_mcmc", M=10, N=9, sampler=SamplerConfig(kind="exact")
+    ),
+    "ueeg_slice": OptimConfig(
+        estimator="ueeg_mcmc", M=4, N=3, sampler=SamplerConfig(kind="slice", thinning=1)
+    ),
+    "pce": OptimConfig(estimator="pce", M=100, N=100),
 }
 
 
@@ -167,18 +158,6 @@ class BiasReport:
         return [r for r in self.rows if r.estimator == estimator]
 
 
-def _one_gradient(model, lam, name, sizes, rng):
-    if name == "beeg_ap":
-        return beeg_ap_gradient(model, lam, sizes["M"], rng).gradient
-    if name == "pce":
-        return pce_gradient(model, lam, sizes["M"], sizes["N"], rng).gradient
-    kind = "exact" if name == "ueeg_exact" else "slice"
-    cfg = SamplerConfig(
-        kind=kind, n_samples=sizes["N"], thinning=sizes.get("thinning", 2)
-    )
-    return ueeg_mcmc_gradient(model, lam, sizes["M"], cfg, rng).gradient
-
-
 def bias_study(
     sigma2: float,
     n_designs: int = 20,
@@ -190,20 +169,22 @@ def bias_study(
     """Estimate gradient biases against the linear-model oracle.
 
     Draws n_designs designs uniformly in [-1, 1]^n_obs, runs `replicates`
-    independent gradient estimates per estimator, and reports the mean
-    deviation from the exact gradient with its standard error.
+    independent gradient estimates per estimator (name -> OptimConfig, run
+    through `make_grad_fn`), and reports the mean deviation from the exact
+    gradient with its standard error.
     """
     model = LinearModel(n_obs=n_obs, sigma2=sigma2)
     estimators = estimators if estimators is not None else BIAS_STUDY_ESTIMATORS
+    grad_fns = {name: make_grad_fn(model, cfg) for name, cfg in estimators.items()}
     report = BiasReport(sigma2=sigma2, replicates=replicates)
     for j in range(n_designs):
         lam_v = substream(seed, "bias-design", j).uniform(-1.0, 1.0, n_obs)
         lam = model.design(lam_v)
         eig, oracle = linear_eig_oracle(lam_v, sigma2)
-        for name, sizes in estimators.items():
+        for name, grad_fn in grad_fns.items():
             grads = np.stack(
                 [
-                    _one_gradient(model, lam, name, sizes, substream(seed, "bias", j, name, r))
+                    grad_fn(lam, SimBudget(), substream(seed, "bias", j, name, r)).gradient
                     for r in range(replicates)
                 ]
             )

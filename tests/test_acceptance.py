@@ -32,7 +32,7 @@ from eigopt import (
 from eigopt.eig_est import srnmc_dual_gradient
 from eigopt.models.linear import linear_eig_value
 from eigopt.rng import substream
-from eigopt.validate import bias_study, nmc_validate, posterior_entropy
+from eigopt.validate import bias_study, posterior_entropy
 
 SEED = 2024
 
@@ -358,8 +358,8 @@ def test_criterion_10_pk_and_stat5():
                 max_forward_evals=200_000, seed=seed,
             )
             traj = optimize(pk, pk.random_design(substream(seed, "init")), cfg)
-            est_val = nmc_validate(
-                pk, pk.design(traj.final_design), substream(seed, "val"), M=1000, N=1000
+            est_val = nmc_value(
+                pk, pk.design(traj.final_design), 1000, 1000, substream(seed, "val")
             )
             vals[est] = est_val.value
         wins += vals["beeg_ap"] > vals["pce"]

@@ -2,14 +2,18 @@
 
 import csv
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from eigopt import linear_eig_oracle
 from eigopt.cli import main
 from eigopt.config import ExperimentConfig
 from eigopt.errors import ConfigError
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 TOY_CFG = """\
 model:
@@ -65,6 +69,35 @@ class TestConfig:
             tmp_path, "model:\n  kind: toy\noptim:\n  learning_rate: -2\n"
         )
         with pytest.raises(ConfigError, match="optim.learning_rate"):
+            ExperimentConfig.from_yaml(p)
+
+    @pytest.mark.parametrize(
+        "text, path",
+        [
+            ("optim:\n  M: 2.5\n", "optim.M"),
+            ("sampler:\n  thinning: 1.9\n", "sampler.thinning"),
+            ("seed: 1.5\n", "seed"),
+            ("optim:\n  fixed_atoms: 'false'\n", "optim.fixed_atoms"),
+            ("seed: abc\n", "seed"),
+            ("sampler: 3\n", "sampler"),
+        ],
+        ids=["M=2.5", "thinning=1.9", "seed=1.5", "fixed_atoms='false'", "seed=abc", "sampler=3"],
+    )
+    def test_malformed_scalar_named_and_exits_2(self, tmp_path, text, path):
+        p = write_cfg(tmp_path, "model:\n  kind: toy\n" + text)
+        with pytest.raises(ConfigError, match=f"^{re.escape(path)}: "):
+            ExperimentConfig.from_yaml(p)
+        assert main(["grad", "--config", p, "--out", str(tmp_path / "g")]) == 2
+
+    def test_exponent_without_dot_parses(self, tmp_path):
+        # PyYAML reads 1e-2 as a string.
+        p = write_cfg(tmp_path, "model:\n  kind: toy\noptim:\n  learning_rate: 1e-2\n")
+        assert ExperimentConfig.from_yaml(p).optim.learning_rate == 0.01
+
+    @pytest.mark.parametrize("section, key", [("sampler", "n_samples"), ("bias_study", "sigma2")])
+    def test_removed_keys_rejected(self, tmp_path, section, key):
+        p = write_cfg(tmp_path, f"model:\n  kind: linear\n{section}:\n  {key}: 3\n")
+        with pytest.raises(ConfigError, match=f"^{section}: unknown keys \\['{key}'\\]"):
             ExperimentConfig.from_yaml(p)
 
     def test_missing_epor_csv_reported(self, tmp_path):
@@ -124,6 +157,28 @@ class TestCliRuns:
         value, se = float(nmc_line.split()[1]), float(nmc_line.split()[3])
         assert abs(value - 0.5 * np.log(2.0)) < 3 * se
 
+    def test_optimize_starts_where_grad_looks(self, tmp_path):
+        p = write_cfg(tmp_path, TOY_CFG.format(seed=4, out=tmp_path / "o"))
+        assert main(["optimize", "--config", p]) == 0
+        assert main(["grad", "--config", p, "--out", str(tmp_path / "g")]) == 0
+        start = read_rows(tmp_path / "o" / "trajectory.csv")[1][1:3]
+        assert start == [row[1] for row in read_rows(tmp_path / "g" / "grad.csv")[1:]]
+
+    @pytest.mark.parametrize(
+        "args, init, source",
+        [
+            (["--design", "0.4"], "", "--design"),
+            (["--design", "0.4,1.5"], "", "--design"),
+            ([], "  init: [0.4, 0.5, 0.6]\n", "optim.init"),
+            ([], "  init: [0.4, -0.5]\n", "optim.init"),
+        ],
+        ids=["design-length", "design-box", "init-length", "init-box"],
+    )
+    def test_bad_design_named_and_exits_2(self, tmp_path, capsys, args, init, source):
+        p = write_cfg(tmp_path, TOY_CFG.format(seed=3, out=tmp_path / "g") + init)
+        assert main(["grad", "--config", p, *args]) == 2
+        assert f"config error: {source}: design values" in capsys.readouterr().err
+
     def test_grad_writes_csv(self, tmp_path):
         out = tmp_path / "g"
         p = write_cfg(tmp_path, TOY_CFG.format(seed=3, out=out))
@@ -158,7 +213,7 @@ class TestCliRuns:
         out = tmp_path / "b"
         cfg = (
             f"model:\n  kind: linear\n  n_obs: 3\n  sigma2: 0.5\nseed: 5\n"
-            f"out_dir: {out}\nbias_study:\n  sigma2: 0.5\n  n_designs: 2\n  replicates: 3\n"
+            f"out_dir: {out}\nbias_study:\n  n_designs: 2\n  replicates: 3\n"
         )
         p = write_cfg(tmp_path, cfg)
         assert main(["bias-study", "--config", p]) == 0
@@ -169,6 +224,18 @@ class TestCliRuns:
             "mean_grad_0", "mean_grad_1", "mean_grad_2", "bias_norm", "se",
         ]
         assert len(rows) == 1 + 2 * 4
+
+    def test_bias_study_uses_model_sigma2(self, tmp_path):
+        out = tmp_path / "b"
+        cfg = (
+            f"model:\n  kind: linear\n  n_obs: 2\n  sigma2: 0.5\nseed: 5\n"
+            f"out_dir: {out}\nbias_study:\n  n_designs: 2\n  replicates: 2\n"
+        )
+        assert main(["bias-study", "--config", write_cfg(tmp_path, cfg)]) == 0
+        rows = read_rows(out / "bias.csv")
+        for row in rows[1:]:
+            _, oracle = linear_eig_oracle(np.array([float(v) for v in row[1:3]]), 0.5)
+            np.testing.assert_allclose([float(v) for v in row[3:5]], oracle, rtol=1e-12)
 
     def test_bias_study_requires_linear(self, tmp_path):
         p = write_cfg(tmp_path, TOY_CFG.format(seed=1, out=tmp_path / "x"))
@@ -190,5 +257,7 @@ class TestCliRuns:
         assert float(val) != round(float(val), 6) or len(val.split(".")[-1]) >= 1
 
     def test_example_configs_parse(self):
-        for cfg in Path("configs").glob("*.yaml"):
+        paths = sorted(CONFIGS.glob("*.yaml"))
+        for cfg in paths:
             ExperimentConfig.from_yaml(str(cfg))
+        assert len(paths) == 11

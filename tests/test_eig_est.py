@@ -29,9 +29,8 @@ class UninformativeModel(Model):
     def design_bounds(self):
         return np.zeros(2), np.ones(2)
 
-    def _prior_values(self, rng, size):
-        shape = (1,) if size is None else (size, 1)
-        return rng.uniform(0.0, 1.0, size=shape)
+    def sample_prior_values(self, rng, size):
+        return rng.uniform(0.0, 1.0, size=(size, 1))
 
     def log_prior(self, theta_values):
         return 0.0

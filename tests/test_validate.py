@@ -4,13 +4,13 @@ linear-model bias study."""
 import numpy as np
 import pytest
 
-from eigopt import LinearModel, SamplerConfig, ToyModel, linear_eig_oracle
+from eigopt import LinearModel, SamplerConfig, ToyModel, linear_eig_oracle, nmc_value
 from eigopt.rng import substream
 from eigopt.validate import (
+    BIAS_STUDY_ESTIMATORS,
     bias_study,
     kde_entropy,
     kde_log_density,
-    nmc_validate,
     posterior_entropy,
     silverman_bandwidths,
 )
@@ -99,14 +99,14 @@ class TestNmcValidate:
         model = LinearModel(sigma2=1.0)
         lam = np.array([0.6, -0.2, 0.9])
         oracle, _ = linear_eig_oracle(lam, 1.0)
-        est = nmc_validate(model, lam, substream(6, "v"), M=2000, N=2000)
+        est = nmc_value(model, lam, 2000, 2000, substream(6, "v"))
         assert abs(est.value - oracle) < 3 * est.std_error
 
     def test_nonnegative_everywhere(self):
         model = ToyModel(0.1)
         rng = substream(7, "nn")
         for _ in range(5):
-            est = nmc_validate(model, model.random_design(rng), rng, M=500, N=500)
+            est = nmc_value(model, model.random_design(rng), 500, 500, rng)
             assert est.value > -3 * est.std_error
 
     def test_se_shrinks_like_root_m(self):
@@ -115,7 +115,7 @@ class TestNmcValidate:
         ses = {}
         for M in (500, 2000):
             vals = [
-                nmc_validate(model, lam, substream(8, M, r), M=M, N=200).std_error
+                nmc_value(model, lam, M, 200, substream(8, M, r)).std_error
                 for r in range(5)
             ]
             ses[M] = np.mean(vals)
@@ -127,7 +127,7 @@ class TestBiasStudy:
     def test_exact_sampler_variant_is_unbiased(self):
         report = bias_study(
             sigma2=0.5, n_designs=4, replicates=80, seed=11,
-            estimators={"ueeg_exact": {"M": 10, "N": 9}},
+            estimators={"ueeg_exact": BIAS_STUDY_ESTIMATORS["ueeg_exact"]},
         )
         for row in report.rows:
             assert row.bias_norm < 3 * row.std_error, row.design_id
