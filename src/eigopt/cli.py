@@ -66,7 +66,10 @@ def _design_from(cfg: ExperimentConfig, model, design_arg: str | None = None,
                               f"got {design_arg!r}") from None
     elif trajectory_arg is not None:
         source = "--trajectory"
-        rows = np.genfromtxt(trajectory_arg, delimiter=",", names=True)
+        try:
+            rows = np.genfromtxt(trajectory_arg, delimiter=",", names=True)
+        except OSError as exc:
+            raise ConfigError(f"--trajectory: {exc}") from None
         last = rows[-1] if rows.shape else rows[()]
         values = [last[f"lambda_{k}"] for k in range(model.design_dim)]
     elif cfg.init_design is not None:
@@ -195,7 +198,7 @@ def cmd_bias_study(args) -> int:
         for r in report.rows
     ]
     write_csv(out / "bias.csv", header, rows)
-    for name in {r.estimator for r in report.rows}:
+    for name in dict.fromkeys(r.estimator for r in report.rows):  # table order, not hash order
         norms = [r.bias_norm for r in report.rows_for(name)]
         print(f"{name}: mean bias norm {np.mean(norms):.4f} over {len(norms)} designs")
     return 0

@@ -89,6 +89,21 @@ def _value(value, path: str, default):
     return _number(value, path, integral=isinstance(default, int))
 
 
+def _json_copy(value, path: str):
+    """A JSON round trip of raw YAML; a value JSON cannot hold (an unquoted
+    date, say) is a ConfigError naming its path."""
+    try:
+        return json.loads(json.dumps(value))
+    except (TypeError, ValueError):
+        pass
+    for key, child in value.items() if isinstance(value, dict) else ():
+        _json_copy(child, f"{path}.{key}" if path else str(key))
+    for i, child in enumerate(value) if isinstance(value, list) else ():
+        _json_copy(child, f"{path}[{i}]")
+    raise ConfigError(f"{path or 'top level'}: cannot store {value!r} as JSON; "
+                      "quote it to make it a string")
+
+
 def _section(cls, raw, path: str, exclude: tuple = (), **given):
     """Build the dataclass `cls` from the YAML mapping `raw` at `path`.
 
@@ -176,7 +191,7 @@ class ExperimentConfig:
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         if not isinstance(raw, dict):
             raise ConfigError("top level: expected a mapping of sections")
-        snapshot = json.loads(json.dumps(raw))
+        snapshot = _json_copy(raw, "")
         raw = dict(raw)
         if "model" not in raw:
             raise ConfigError("model: required section missing")

@@ -9,7 +9,9 @@ Three nested Monte Carlo flavors over the prior-predictive:
 All inner averages run through log-sum-exp on log likelihoods; -inf entries
 contribute nothing and the divisor keeps the full count.  The sample-reuse
 estimator can never exceed log M and the contrastive one log(N+1); both
-caps hold exactly, not just in expectation.
+caps hold exactly, not just in expectation.  `srnmc_value` and `pce_value`
+are the BEEG-AP and PCE gradient kernels of `grad_est` run at a plain
+design.  All three work in chunks of outer rows, so memory stays bounded.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dual
-from .errors import EstimatorError
+from .grad_est import _check_rows, _chunk_rows, _contrastive, _draw_batch, _sample_reuse
 from .models.base import Model, SimBudget, design_values
 
 __all__ = ["EIGEstimate", "nmc_value", "srnmc_value", "pce_value", "srnmc_dual_gradient"]
@@ -37,19 +39,6 @@ class EIGEstimate:
     M: int
     N: int
     forward_evals_used: int
-
-
-def _draw_batch(model: Model, rng: np.random.Generator, size: int):
-    thetas = model.sample_prior_values(rng, size)
-    eps = model.sample_noise_values(rng, size)
-    return thetas, eps
-
-
-def _check_rows(ll: np.ndarray, what: str) -> None:
-    dead = np.isneginf(ll).all(axis=-1)
-    if np.any(dead):
-        i = int(np.argmax(dead))
-        raise EstimatorError(f"{what}: all likelihoods are zero for outer sample {i}")
 
 
 def _estimate(terms: np.ndarray, offset: float, M: int, N: int, used: int) -> EIGEstimate:
@@ -78,33 +67,16 @@ def nmc_value(
     ll_own, _, _ = model.log_density_value_and_partials(y, f)
 
     terms = np.empty(M)
-    # Chunk the outer axis so the (chunk, N, obs) intermediates stay small.
-    chunk = max(1, int(4e6) // max(1, N * model.obs_dim))
-    for lo in range(0, M, chunk):
-        hi = min(M, lo + chunk)
-        inner = model.sample_prior_values(rng, (hi - lo) * N).reshape(
-            hi - lo, N, model.theta_dim
-        )
+    rows = _chunk_rows(N, model.obs_dim)
+    for lo in range(0, M, rows):
+        hi = min(M, lo + rows)
+        inner = model.sample_prior_values(rng, (hi - lo) * N).reshape(hi - lo, N, model.theta_dim)
         f_in = model.forward(inner, lam_v)
         budget.charge((hi - lo) * N)
         ll_in, _, _ = model.log_density_value_and_partials(y[lo:hi, None, :], f_in)
-        _check_rows(ll_in, "nmc inner average")
+        _check_rows(ll_in, lo)
         terms[lo:hi] = ll_own[lo:hi] - (dual.logsumexp(ll_in, axis=1) - np.log(N))
     return _estimate(terms, 0.0, M, N, budget.forward_evals - start)
-
-
-def _srnmc_terms(model: Model, thetas, eps, lam_v, budget: SimBudget):
-    M = thetas.shape[0]
-    f = model.forward(thetas, lam_v)
-    budget.charge(M)
-    y = model.observe(f, eps)
-    ll, _, _ = model.log_density_value_and_partials(y[:, None, :], f[None, :, :])
-    _check_rows(ll, "sample-reuse inner average")
-    own = ll[np.arange(M), np.arange(M)]
-    # Mathematically <= 0 because the inner average includes the own term;
-    # the minimum guards against log/exp round-trip ulps so the log M cap
-    # is exact.
-    return np.minimum(own - dual.logsumexp(ll, axis=1), 0.0)
 
 
 def srnmc_value(
@@ -116,19 +88,13 @@ def srnmc_value(
     batch: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> EIGEstimate:
     """Sample-reuse nested Monte Carlo EIG from a fresh or caller-fixed batch."""
+    if batch is None and (M is None or rng is None):
+        raise ValueError("need M and rng when no batch is given")
     budget = budget if budget is not None else SimBudget()
-    budget.new_design_version()
     start = budget.forward_evals
-    if batch is None:
-        if M is None or rng is None:
-            raise ValueError("need M and rng when no batch is given")
-        thetas, eps = _draw_batch(model, rng, M)
-    else:
-        thetas, eps = batch
-        thetas = np.asarray(thetas, dtype=float)
-        eps = np.asarray(eps, dtype=float)
+    thetas, eps = _draw_batch(model, rng, M, batch)
     M = thetas.shape[0]
-    terms = _srnmc_terms(model, thetas, eps, design_values(lam), budget)
+    terms, _ = _sample_reuse(model, design_values(lam), thetas, eps, budget)
     return _estimate(terms, np.log(M), M, M, budget.forward_evals - start)
 
 
@@ -151,7 +117,7 @@ def srnmc_dual_gradient(
     budget.charge(M)
     y = model.observe(f, np.asarray(eps, dtype=float))
     ll = model.log_density_given_forward(y[:, None], f[None, :])
-    _check_rows(ll.value, "sample-reuse inner average")
+    _check_rows(ll.value)
     idx = np.arange(M)
     own = ll[idx, idx]
     total = dual.dmean(own - dual.logsumexp(ll, axis=1)) + np.log(M)
@@ -169,22 +135,6 @@ def pce_value(
     """Contrastive EIG lower bound: the own sample plus N fresh contrastive
     prior samples in each inner average."""
     budget = budget if budget is not None else SimBudget()
-    budget.new_design_version()
-    lam_v = design_values(lam)
     start = budget.forward_evals
-    thetas, eps = _draw_batch(model, rng, M)
-    f = model.forward(thetas, lam_v)
-    budget.charge(M)
-    y = model.observe(f, eps)
-    ll_own, _, _ = model.log_density_value_and_partials(y, f)
-    if N == 0:
-        terms = np.zeros(M)
-    else:
-        inner = model.sample_prior_values(rng, M * N).reshape(M, N, model.theta_dim)
-        f_in = model.forward(inner, lam_v)
-        budget.charge(M * N)
-        ll_in, _, _ = model.log_density_value_and_partials(y[:, None, :], f_in)
-        ll_all = np.concatenate([ll_own[:, None], ll_in], axis=1)
-        _check_rows(ll_all, "contrastive inner average")
-        terms = np.minimum(ll_own - dual.logsumexp(ll_all, axis=1), 0.0)
+    terms, _ = _contrastive(model, design_values(lam), M, N, rng, budget)
     return _estimate(terms, np.log(N + 1), M, N, budget.forward_evals - start)

@@ -18,7 +18,9 @@ along reparameterized sampling paths y = g(theta, eps, lam):
 
 Gradients are assembled from likelihood partials contracted against the
 forward/observation tangents, which keeps the cost at O(pairs * obs) plus
-O(samples * obs * d) instead of materializing per-pair tangents.
+O(samples * obs * d) instead of materializing per-pair tangents.  The
+sample-reuse and contrastive kernels also give `eig_est`'s values when run
+at a plain design, and build their likelihood matrices in row chunks.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dual
-from .eig_est import _draw_batch
 from .errors import EstimatorError
 from .models.base import Model, SimBudget, design_values
 from .samplers import SamplerConfig, posterior_draws
@@ -69,6 +70,90 @@ def _contract(coeff, d_dy, d_df, y_tan, f_tan, f_per_row: bool) -> np.ndarray:
     return grad
 
 
+def _draw_batch(model: Model, rng: np.random.Generator, size: int, batch=None):
+    """`size` prior draws and their noise, or the caller's fixed `batch`."""
+    if batch is not None:
+        return np.asarray(batch[0], dtype=float), np.asarray(batch[1], dtype=float)
+    return model.sample_prior_values(rng, size), model.sample_noise_values(rng, size)
+
+
+def _chunk_rows(n_inner: int, obs_dim: int) -> int:
+    """Outer rows per chunk, so (rows, n_inner, obs) arrays stay near 4e6 entries."""
+    return max(1, int(4e6) // max(1, n_inner * obs_dim))
+
+
+def _check_rows(ll: np.ndarray, start: int = 0) -> None:
+    """Raise naming the first outer sample (rows of `ll` count from `start`)
+    whose inner likelihoods all vanish."""
+    dead = np.isneginf(ll).all(axis=-1)
+    if np.any(dead):
+        i = start + int(np.argmax(dead))
+        raise EstimatorError(f"no inner sample explains observation {i}")
+
+
+def _sample_reuse(model: Model, lam, thetas, eps, budget: SimBudget):
+    """Sample-reuse terms log p(y_a|theta_a) - log sum_b p(y_a|theta_b), each
+    exactly <= 0, and, for a lifted `lam`, the design gradient of their mean
+    (None otherwise).  Costs the M forwards of the batch."""
+    budget.new_design_version()
+    M = thetas.shape[0]
+    f = model.forward(thetas, lam)
+    budget.charge(M)
+    y = model.observe(f, eps)
+    y_v, f_v = dual.value_of(y), dual.value_of(f)
+    terms, grad = np.empty(M), None
+    rows = _chunk_rows(M, model.obs_dim)
+    for lo in range(0, M, rows):
+        hi = min(M, lo + rows)
+        ll, d_dy, d_df = model.log_density_value_and_partials(
+            y_v[lo:hi, None, :], f_v[None, :, :]
+        )
+        _check_rows(ll, lo)
+        own = ll[np.arange(hi - lo), np.arange(lo, hi)]
+        # <= 0 as the sum includes the own term; the minimum guards against
+        # log/exp round-trip ulps so the log M cap is exact.
+        terms[lo:hi] = np.minimum(own - dual.logsumexp(ll, axis=1), 0.0)
+        if isinstance(lam, dual.Dual):
+            coeff = np.eye(hi - lo, M, lo) - softmax_rows(ll)
+            g = _contract(coeff, d_dy, d_df, y.tangent[lo:hi], f.tangent, f_per_row=False)
+            grad = g if grad is None else grad + g
+    return terms, None if grad is None else grad / M
+
+
+def _contrastive(model: Model, lam, M: int, N: int, rng: np.random.Generator,
+                 budget: SimBudget):
+    """Contrastive terms: each own log likelihood against the own sample plus
+    N fresh prior samples, each exactly <= 0; for a lifted `lam` also the
+    design gradient of their mean (None otherwise).  Costs M*(N+1) forwards."""
+    budget.new_design_version()
+    lifted = isinstance(lam, dual.Dual)
+    thetas, eps = _draw_batch(model, rng, M)
+    f = model.forward(thetas, lam)
+    budget.charge(M)
+    y = model.observe(f, eps)
+    terms = np.zeros(M)
+    if N == 0:
+        return terms, np.zeros(lam.shape[0]) if lifted else None
+    y_v, grad = dual.value_of(y), None
+    rows = _chunk_rows(N + 1, model.obs_dim)
+    for lo in range(0, M, rows):
+        hi = min(M, lo + rows)
+        inner = model.sample_prior_values(rng, (hi - lo) * N).reshape(hi - lo, N, model.theta_dim)
+        f_all = dual.concatenate([f[lo:hi, None, :], model.forward(inner, lam)], axis=1)
+        budget.charge((hi - lo) * N)
+        ll, d_dy, d_df = model.log_density_value_and_partials(
+            y_v[lo:hi, None, :], dual.value_of(f_all)
+        )
+        _check_rows(ll, lo)
+        terms[lo:hi] = np.minimum(ll[:, 0] - dual.logsumexp(ll, axis=1), 0.0)
+        if lifted:
+            coeff = -softmax_rows(ll)
+            coeff[:, 0] += 1.0
+            g = _contract(coeff, d_dy, d_df, y.tangent[lo:hi], f_all.tangent, f_per_row=True)
+            grad = g if grad is None else grad + g
+    return terms, None if grad is None else grad / M
+
+
 def beeg_ap_gradient(
     model: Model,
     lam,
@@ -77,33 +162,17 @@ def beeg_ap_gradient(
     budget: SimBudget | None = None,
     batch: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> GradEstimate:
-    """Atomic-prior EIG gradient from one batch of prior samples.
+    """Atomic-prior EIG gradient from one batch of prior samples: the design
+    gradient of the sample-reuse EIG estimator on that batch.
 
     Passing `batch` reuses a fixed atom set instead of drawing a fresh one.
     Consumes exactly M forward evaluations.
     """
     budget = budget if budget is not None else SimBudget()
-    budget.new_design_version()
     start = budget.forward_evals
-    if batch is None:
-        thetas, eps = _draw_batch(model, rng, M)
-    else:
-        thetas = np.asarray(batch[0], dtype=float)
-        eps = np.asarray(batch[1], dtype=float)
+    thetas, eps = _draw_batch(model, rng, M, batch)
     M = thetas.shape[0]
-    lam_dual = dual.lift_design(design_values(lam))
-    f = model.forward(thetas, lam_dual)
-    budget.charge(M)
-    y = model.observe(f, eps)
-    ll, d_dy, d_df = model.log_density_value_and_partials(
-        y.value[:, None, :], f.value[None, :, :]
-    )
-    dead = np.isneginf(ll).all(axis=1)
-    if np.any(dead):
-        i = int(np.argmax(dead))
-        raise EstimatorError(f"no atom explains observation {i}")
-    coeff = np.eye(M) - softmax_rows(ll)
-    grad = _contract(coeff, d_dy, d_df, y.tangent, f.tangent, f_per_row=False) / M
+    _, grad = _sample_reuse(model, dual.lift_design(design_values(lam)), thetas, eps, budget)
     return GradEstimate(grad, M, M, budget.forward_evals - start)
 
 
@@ -121,30 +190,9 @@ def pce_gradient(
     contrastive prior samples.
     """
     budget = budget if budget is not None else SimBudget()
-    budget.new_design_version()
     start = budget.forward_evals
     lam_dual = dual.lift_design(design_values(lam))
-    thetas, eps = _draw_batch(model, rng, M)
-    f = model.forward(thetas, lam_dual)
-    budget.charge(M)
-    y = model.observe(f, eps)
-    if N == 0:
-        d = lam_dual.shape[0]
-        return GradEstimate(np.zeros(d), M, N, budget.forward_evals - start)
-    inner = model.sample_prior_values(rng, M * N).reshape(M, N, model.theta_dim)
-    f_in = model.forward(inner, lam_dual)
-    budget.charge(M * N)
-    f_all = dual.concatenate([f[:, None, :], f_in], axis=1)
-    ll, d_dy, d_df = model.log_density_value_and_partials(
-        y.value[:, None, :], f_all.value
-    )
-    dead = np.isneginf(ll).all(axis=1)
-    if np.any(dead):
-        i = int(np.argmax(dead))
-        raise EstimatorError(f"no contrastive sample explains observation {i}")
-    coeff = -softmax_rows(ll)
-    coeff[:, 0] += 1.0
-    grad = _contract(coeff, d_dy, d_df, y.tangent, f_all.tangent, f_per_row=True) / M
+    _, grad = _contrastive(model, lam_dual, M, N, rng, budget)
     return GradEstimate(grad, M, N, budget.forward_evals - start)
 
 

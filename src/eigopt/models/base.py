@@ -15,7 +15,6 @@ budgets are per-worker.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -48,9 +47,6 @@ class Design:
     def clip(self, values) -> "Design":
         return Design(np.clip(values, self.lower, self.upper), self.lower, self.upper)
 
-    def with_values(self, values) -> "Design":
-        return Design(values, self.lower, self.upper)
-
 
 def design_values(lam) -> np.ndarray:
     """Plain value vector of a Design, Dual, or array."""
@@ -61,28 +57,28 @@ def design_values(lam) -> np.ndarray:
 
 @dataclass
 class SimBudget:
-    """Counter of distinct forward-model evaluations, with a memo keyed by
-    (theta identity, design version).  The memo is cleared whenever the
-    design changes; the counter only ever grows."""
+    """Counter of distinct forward-model evaluations, which only ever grows,
+    with a memo of forward results that is cleared whenever the design
+    changes."""
 
     forward_evals: int = 0
-    _version: int = 0
     _memo: dict = field(default_factory=dict, repr=False)
 
     def new_design_version(self) -> None:
-        self._version += 1
         self._memo.clear()
 
     def charge(self, n: int = 1) -> None:
         self.forward_evals += int(n)
 
-    def cached_forward(self, theta: Theta, compute):
-        hit = self._memo.get(theta.uid)
+    def cached_forward(self, key, compute):
+        """`compute()`, charged as one forward evaluation and memoized under
+        `key.uid` until `new_design_version`.  No estimator calls it."""
+        hit = self._memo.get(key.uid)
         if hit is not None:
             return hit
         value = compute()
         self.forward_evals += 1
-        self._memo[theta.uid] = value
+        self._memo[key.uid] = value
         return value
 
 

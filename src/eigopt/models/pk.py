@@ -52,15 +52,6 @@ class PKModel(Model):
         z = rng.standard_normal((size, self.theta_dim))
         return np.exp(_LOG_PRIOR_MEAN + np.sqrt(_LOG_PRIOR_VAR) * z)
 
-    def log_prior(self, theta_values):
-        th = np.asarray(theta_values, dtype=float)
-        if np.any(th <= 0.0):
-            return -np.inf
-        z = np.log(th) - _LOG_PRIOR_MEAN
-        logn = -0.5 * z @ z / _LOG_PRIOR_VAR
-        logn -= 0.5 * self.theta_dim * np.log(2.0 * np.pi * _LOG_PRIOR_VAR)
-        return float(logn - np.log(th).sum())
-
     def forward(self, theta_values, lam):
         th = np.asarray(theta_values, dtype=float)
         ka = th[..., 0:1]

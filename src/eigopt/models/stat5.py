@@ -153,12 +153,6 @@ class Stat5Model(Model):
     def sample_prior_values(self, rng, size):
         return rng.uniform(_PRIOR_LOW, _PRIOR_HIGH, size=(size, self.theta_dim))
 
-    def log_prior(self, theta_values):
-        th = np.asarray(theta_values, dtype=float)
-        if np.any(th < _PRIOR_LOW) or np.any(th > _PRIOR_HIGH):
-            return -np.inf
-        return float(-np.log(_PRIOR_HIGH - _PRIOR_LOW).sum())
-
     # -- dynamics -------------------------------------------------------------
 
     def _rhs(self, state, epor_t, k1, k2, rate):

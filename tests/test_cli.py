@@ -2,7 +2,10 @@
 
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +15,7 @@ from eigopt import linear_eig_oracle
 from eigopt.cli import main
 from eigopt.config import ExperimentConfig
 from eigopt.errors import ConfigError
+from eigopt.validate import BIAS_STUDY_ESTIMATORS
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -99,6 +103,22 @@ class TestConfig:
         p = write_cfg(tmp_path, f"model:\n  kind: linear\n{section}:\n  {key}: 3\n")
         with pytest.raises(ConfigError, match=f"^{section}: unknown keys \\['{key}'\\]"):
             ExperimentConfig.from_yaml(p)
+
+    @pytest.mark.parametrize(
+        "text, path",
+        [
+            ("out_dir: 2024-01-01\n", "out_dir"),
+            ("optim:\n  init: [0.4, 2024-01-01]\n", "optim.init[1]"),
+        ],
+        ids=["out_dir", "optim.init"],
+    )
+    def test_value_json_cannot_hold_named_and_exits_2(self, tmp_path, capsys, text, path):
+        # an unquoted date is a datetime.date, which run_meta.json cannot hold
+        p = write_cfg(tmp_path, "model:\n  kind: toy\n" + text)
+        with pytest.raises(ConfigError, match=f"^{re.escape(path)}: .*date"):
+            ExperimentConfig.from_yaml(p)
+        assert main(["grad", "--config", p, "--out", str(tmp_path / "g")]) == 2
+        assert f"config error: {path}: " in capsys.readouterr().err
 
     def test_missing_epor_csv_reported(self, tmp_path):
         p = write_cfg(tmp_path, "model:\n  kind: stat5\n  epor_csv: nope.csv\n")
@@ -208,6 +228,32 @@ class TestCliRuns:
             )
             == 0
         )
+
+    def test_missing_trajectory_named_and_exits_2(self, tmp_path, capsys):
+        p = write_cfg(tmp_path, TOY_CFG.format(seed=3, out=tmp_path / "t"))
+        missing = tmp_path / "nope.csv"
+        assert main(["entropy", "--config", p, "--trajectory", str(missing)]) == 2
+        err = capsys.readouterr().err
+        assert "config error: --trajectory: " in err and str(missing) in err
+
+    def test_bias_study_summary_in_table_order(self, tmp_path):
+        # The summary lines must not depend on string hashing.
+        cfg = (
+            f"model:\n  kind: linear\n  n_obs: 2\n  sigma2: 0.5\nseed: 5\n"
+            f"out_dir: {tmp_path / 'b'}\nbias_study:\n  n_designs: 1\n  replicates: 2\n"
+        )
+        p = write_cfg(tmp_path, cfg)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        outs = []
+        for hashseed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=hashseed,
+                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            run = subprocess.run([sys.executable, "-m", "eigopt.cli", "bias-study", "--config", p],
+                                 env=env, capture_output=True, text=True, check=True)
+            outs.append(run.stdout)
+        assert outs[0] == outs[1]
+        names = [line.split(":")[0] for line in outs[0].splitlines()]
+        assert names == list(BIAS_STUDY_ESTIMATORS)
 
     def test_bias_study_csv_schema(self, tmp_path):
         out = tmp_path / "b"

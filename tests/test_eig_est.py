@@ -1,10 +1,16 @@
 """EIG value estimators: oracle agreement, caps, bounds, convergence."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from eigopt import (
     LinearModel,
+    PKModel,
     SimBudget,
     ToyModel,
     linear_eig_oracle,
@@ -12,9 +18,37 @@ from eigopt import (
     pce_value,
     srnmc_value,
 )
+from eigopt import dual
 from eigopt.errors import EstimatorError
+from eigopt.grad_est import _chunk_rows
 from eigopt.models.base import Model
 from eigopt.rng import substream
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def unchunked_srnmc_terms(model, lam, thetas, eps):
+    """The sample-reuse terms from the whole M x M likelihood matrix at once."""
+    M = thetas.shape[0]
+    f = model.forward(thetas, lam)
+    y = model.observe(f, eps)
+    ll, _, _ = model.log_density_value_and_partials(y[:, None, :], f[None, :, :])
+    own = ll[np.arange(M), np.arange(M)]
+    return np.minimum(own - dual.logsumexp(ll, axis=1), 0.0)
+
+
+def unchunked_pce_terms(model, lam, M, N, rng):
+    """The contrastive terms from all M*N inner samples at once, with the own
+    term from its own likelihood call."""
+    thetas = model.sample_prior_values(rng, M)
+    eps = model.sample_noise_values(rng, M)
+    f = model.forward(thetas, lam)
+    y = model.observe(f, eps)
+    ll_own, _, _ = model.log_density_value_and_partials(y, f)
+    inner = model.sample_prior_values(rng, M * N).reshape(M, N, model.theta_dim)
+    ll_in, _, _ = model.log_density_value_and_partials(y[:, None, :], model.forward(inner, lam))
+    ll_all = np.concatenate([ll_own[:, None], ll_in], axis=1)
+    return np.minimum(ll_own - dual.logsumexp(ll_all, axis=1), 0.0)
 
 
 class UninformativeModel(Model):
@@ -190,3 +224,69 @@ class TestErrors:
             thetas = np.array([[0.2], [0.8]])
             eps = np.sign(rng.standard_normal((2, 2))) * 1e160
             srnmc_value(model, np.array([0.5, 0.5]), budget=SimBudget(), batch=(thetas, eps))
+
+    def test_dead_row_named_by_global_index(self):
+        # the sample-reuse matrix of 1500 toy atoms spans two row chunks;
+        # only observation 1400, in the second chunk, is out of reach
+        model = ToyModel(noise_sd=1e-6)
+        rng = np.random.default_rng(0)
+        thetas = model.sample_prior_values(rng, 1500)
+        eps = model.sample_noise_values(rng, 1500)
+        eps[1400] = 1e160
+        assert _chunk_rows(1500, model.obs_dim) < 1400
+        with pytest.raises(EstimatorError, match=r"observation 1400$"):
+            srnmc_value(model, np.array([0.5, 0.5]), budget=SimBudget(), batch=(thetas, eps))
+
+
+class TestChunkedKernels:
+    """The chunked kernels against copies of the unchunked code, at sizes
+    that span two row chunks."""
+
+    def test_srnmc_matches_unchunked(self):
+        model = PKModel()
+        lam = model.random_design(substream(61, "design")).values
+        M = 700
+        assert _chunk_rows(M, model.obs_dim) < M
+        est = srnmc_value(model, lam, M, substream(61, "srnmc"), SimBudget())
+        rng = substream(61, "srnmc")
+        thetas = model.sample_prior_values(rng, M)
+        terms = unchunked_srnmc_terms(model, lam, thetas, model.sample_noise_values(rng, M))
+        assert est.value == float(np.mean(terms) + np.log(M))
+        assert est.std_error == float(np.std(terms, ddof=1) / np.sqrt(M))
+
+    def test_pce_matches_unchunked(self):
+        model = PKModel()
+        lam = model.random_design(substream(62, "design")).values
+        M = N = 700
+        assert _chunk_rows(N + 1, model.obs_dim) < M
+        budget = SimBudget()
+        est = pce_value(model, lam, M, N, substream(62, "pce"), budget)
+        terms = unchunked_pce_terms(model, lam, M, N, substream(62, "pce"))
+        assert est.value == float(np.mean(terms) + np.log(N + 1))
+        assert est.std_error == float(np.std(terms, ddof=1) / np.sqrt(M))
+        assert budget.forward_evals == M * (N + 1)
+
+    @pytest.mark.parametrize("name", ["srnmc_value", "pce_value"])
+    def test_peak_memory_bounded_at_large_sizes(self, name):
+        # M = N = 2000 on the model of the PK `eig` config, in a fresh
+        # process whose peak resident set (ru_maxrss, KiB on Linux) is its own
+        args = "2000, rng" if name == "srnmc_value" else "2000, 2000, rng"
+        code = (
+            "import resource, sys\n"
+            "import numpy as np\n"
+            "from eigopt import eig_est\n"
+            "from eigopt.config import ExperimentConfig\n"
+            "model = ExperimentConfig.from_yaml(sys.argv[1]).build_model()\n"
+            "rng = np.random.default_rng(0)\n"
+            "lam = model.random_design(rng)\n"
+            f"eig_est.{name}(model, lam, {args})\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        )
+        run = subprocess.run(
+            [sys.executable, "-c", code, str(ROOT / "configs" / "pk_small_eig_beeg.yaml")],
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(
+                filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))),
+            capture_output=True, text=True, check=True,
+        )
+        peak_mb = int(run.stdout.split()[-1]) / 1024
+        assert peak_mb < 1024, peak_mb

@@ -17,10 +17,11 @@ from eigopt import (
     srnmc_value,
     ueeg_mcmc_gradient,
 )
+from eigopt import dual
 from eigopt.dual import lift_design
 from eigopt.eig_est import pce_value, srnmc_dual_gradient
 from eigopt.errors import EstimatorError
-from eigopt.grad_est import softmax_rows
+from eigopt.grad_est import _chunk_rows, softmax_rows
 from eigopt.rng import substream
 from eigopt.samplers import posterior_draws
 
@@ -52,6 +53,39 @@ def per_draw_ueeg_reference(model, lam, M, cfg, rng):
             t_post += model.log_likelihood(y, theta_p, lam_dual).tangent
         terms.append(t_own - t_post / len(draws))
     return np.mean(terms, axis=0)
+
+
+def unchunked_beeg_ap_gradient(model, lam, thetas, eps):
+    """BEEG-AP from the whole M x M likelihood matrix and one contraction."""
+    M = thetas.shape[0]
+    lam_dual = lift_design(lam)
+    f = model.forward(thetas, lam_dual)
+    y = model.observe(f, eps)
+    ll, d_dy, d_df = model.log_density_value_and_partials(
+        y.value[:, None, :], f.value[None, :, :]
+    )
+    coeff = np.eye(M) - softmax_rows(ll)
+    ay = np.einsum("ab,abt->at", coeff, d_dy)
+    bf = np.einsum("ab,abt->bt", coeff, d_df)
+    return (np.einsum("at,atk->k", ay, y.tangent) + np.einsum("bt,btk->k", bf, f.tangent)) / M
+
+
+def unchunked_pce_gradient(model, lam, M, N, rng):
+    """PCE gradient from all M*N contrastive samples and one contraction."""
+    lam_dual = lift_design(lam)
+    thetas = model.sample_prior_values(rng, M)
+    eps = model.sample_noise_values(rng, M)
+    f = model.forward(thetas, lam_dual)
+    y = model.observe(f, eps)
+    inner = model.sample_prior_values(rng, M * N).reshape(M, N, model.theta_dim)
+    f_all = dual.concatenate([f[:, None, :], model.forward(inner, lam_dual)], axis=1)
+    ll, d_dy, d_df = model.log_density_value_and_partials(y.value[:, None, :], f_all.value)
+    coeff = -softmax_rows(ll)
+    coeff[:, 0] += 1.0
+    ay = np.einsum("ab,abt->at", coeff, d_dy)
+    af = coeff[..., None] * d_df
+    return (np.einsum("at,atk->k", ay, y.tangent)
+            + np.einsum("abt,abtk->k", af, f_all.tangent)) / M
 
 
 def identity_design(model, rng):
@@ -266,6 +300,33 @@ class TestPceGradient:
         budget = SimBudget()
         pce_gradient(model, np.zeros(3), 12, 5, np.random.default_rng(0), budget)
         assert budget.forward_evals == 12 * (5 + 1)
+
+
+class TestChunkedKernels:
+    """The chunked gradients against copies of the unchunked code, at sizes
+    that span two row chunks; summing chunks reorders the additions."""
+
+    def test_beeg_ap_matches_unchunked(self):
+        model = ToyModel(0.1)
+        lam = model.random_design(substream(71, "design")).values
+        M = 1500
+        assert _chunk_rows(M, model.obs_dim) < M
+        g = beeg_ap_gradient(model, lam, M, substream(71, "beeg"), SimBudget()).gradient
+        rng = substream(71, "beeg")
+        thetas = model.sample_prior_values(rng, M)
+        ref = unchunked_beeg_ap_gradient(model, lam, thetas, model.sample_noise_values(rng, M))
+        assert np.all(ref != 0.0)
+        np.testing.assert_allclose(g, ref, rtol=1e-12, atol=0.0)
+
+    def test_pce_matches_unchunked(self):
+        model = ToyModel(0.1)
+        lam = model.random_design(substream(72, "design")).values
+        M, N = 1200, 2000
+        assert _chunk_rows(N + 1, model.obs_dim) < M
+        g = pce_gradient(model, lam, M, N, substream(72, "pce"), SimBudget()).gradient
+        ref = unchunked_pce_gradient(model, lam, M, N, substream(72, "pce"))
+        assert np.all(ref != 0.0)
+        np.testing.assert_allclose(g, ref, rtol=1e-12, atol=0.0)
 
 
 class TestFailureModes:
