@@ -5,12 +5,14 @@ along reparameterized sampling paths y = g(theta, eps, lam):
 
 * `ueeg_mcmc_gradient` - contrasts each sample's own log likelihood against
   posterior samples for its observation; unbiased when the posterior
-  sampling is exact, and any MCMC chain here starts at the generating theta,
-  which is already an exact posterior draw for its own observation.  With
-  an MCMC sampler it charges M own forwards plus one per distinct chain
-  state with a finite prior.  The kept draws' tangents come from one
-  batched dual forward that is not charged: every kept draw is a chain
-  state whose forward was already paid for (the start's by the own batch).
+  sampling is exact.  MCMC chains start at the generating theta, whose
+  tangents the posterior term uses too; their draws are not independent of
+  it, which biases the gradient towards 0 at large EIG (see `samplers`).
+  With an MCMC sampler it charges M own forwards plus one per distinct
+  chain state with a finite prior; the M chains run in lockstep.  The kept
+  draws' tangents come from one batched dual forward that is not charged:
+  every kept draw is a chain state whose forward was already paid for (the
+  start's by the own batch).
 * `beeg_ap_gradient`   - replaces the posterior by a softmax over one shared
   batch of prior atoms; algebraically the gradient of the sample-reuse EIG
   estimator, at cost M forward evaluations per call.
@@ -78,7 +80,9 @@ def _draw_batch(model: Model, rng: np.random.Generator, size: int, batch=None):
 
 
 def _chunk_rows(n_inner: int, obs_dim: int) -> int:
-    """Outer rows per chunk, so (rows, n_inner, obs) arrays stay near 4e6 entries."""
+    """Outer rows per chunk, so (rows, n_inner, obs_dim) arrays stay near 4e6
+    entries; pass obs_dim times the tangent width where per-pair tangents
+    are built."""
     return max(1, int(4e6) // max(1, n_inner * obs_dim))
 
 
@@ -135,7 +139,8 @@ def _contrastive(model: Model, lam, M: int, N: int, rng: np.random.Generator,
     if N == 0:
         return terms, np.zeros(lam.shape[0]) if lifted else None
     y_v, grad = dual.value_of(y), None
-    rows = _chunk_rows(N + 1, model.obs_dim)
+    # A lifted design gives every inner forward its own (obs, d) tangent.
+    rows = _chunk_rows(N + 1, model.obs_dim * (lam.shape[0] if lifted else 1))
     for lo in range(0, M, rows):
         hi = min(M, lo + rows)
         inner = model.sample_prior_values(rng, (hi - lo) * N).reshape(hi - lo, N, model.theta_dim)
@@ -209,7 +214,8 @@ def ueeg_mcmc_gradient(
     For each of M prior draws, the observation's own log-likelihood design
     derivative is contrasted with the average over sampler_cfg.n_samples
     posterior draws.  With kind="exact" the posterior draws are exact and
-    the estimator is unbiased; MCMC kinds contribute only sampling bias.
+    the estimator is unbiased; with an MCMC kind it is biased by the
+    chains' dependence on their start (see `samplers`).
     Costs M forward evaluations plus, with kind="exact", M*N for the draws
     and, with an MCMC kind, one per chain target evaluation with a finite
     prior away from the chain's start.
@@ -240,16 +246,12 @@ def ueeg_mcmc_gradient(
         post = batch_sampler(y.value, lam_v, N, rng)
         budget.charge(M * N)
     else:
-        post = np.empty((M, N, model.theta_dim))
-        for i, child in enumerate(child_rngs):
-            try:
-                post[i] = posterior_draws(
-                    model, y.value[i], lam_v, sampler_cfg, budget, child, init_theta=thetas[i]
-                )
-            except Exception as exc:
-                raise EstimatorError(
-                    f"posterior chain failed for outer sample {i}: {exc}"
-                ) from exc
+        try:
+            post = posterior_draws(
+                model, y.value, lam_v, sampler_cfg, budget, child_rngs, init_theta=thetas
+            )
+        except Exception as exc:
+            raise EstimatorError(f"posterior chains failed: {exc}") from exc
     f_post = model.forward(post, lam_dual)
     _, d_dy0, d_df0 = model.log_density_value_and_partials(y.value, f.value)
     _, d_dyp, d_dfp = model.log_density_value_and_partials(y.value[:, None, :], f_post.value)

@@ -120,7 +120,8 @@ class Model:
         """`size` prior draws as a (size, theta_dim) array."""
         raise NotImplementedError
 
-    def log_prior(self, theta_values) -> float:
+    def log_prior(self, theta_values) -> np.ndarray:
+        """Log prior density of each row of theta_values (..., p); (...)."""
         raise NotImplementedError
 
     def sample_noise_values(self, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -193,9 +194,9 @@ class Model:
     def from_sampling_space(self, z) -> np.ndarray:
         return np.asarray(z, dtype=float)
 
-    def sampling_log_prior(self, z) -> float:
-        """Log prior density of the sampling-space coordinates (Jacobian
-        included).  Default: identity transform."""
+    def sampling_log_prior(self, z) -> np.ndarray:
+        """Log prior density of each row of sampling-space coordinates z
+        (..., p), Jacobian included.  Default: identity transform."""
         return self.log_prior(z)
 
     def sampling_scale(self) -> np.ndarray:

@@ -38,7 +38,7 @@ class LinearModel(Model):
 
     def log_prior(self, theta_values):
         th = np.asarray(theta_values, dtype=float)
-        return float(-0.5 * th @ th - 0.5 * self.theta_dim * np.log(2.0 * np.pi))
+        return np.vecdot(-0.5 * th, th) - 0.5 * self.theta_dim * np.log(2.0 * np.pi)
 
     def forward(self, theta_values, lam):
         th = np.asarray(theta_values, dtype=float)

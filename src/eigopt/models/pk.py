@@ -92,8 +92,8 @@ class PKModel(Model):
 
     def sampling_log_prior(self, z):
         zz = np.asarray(z, dtype=float) - _LOG_PRIOR_MEAN
-        out = -0.5 * zz @ zz / _LOG_PRIOR_VAR
-        return float(out - 0.5 * self.theta_dim * np.log(2.0 * np.pi * _LOG_PRIOR_VAR))
+        out = np.vecdot(-0.5 * zz, zz) / _LOG_PRIOR_VAR
+        return out - 0.5 * self.theta_dim * np.log(2.0 * np.pi * _LOG_PRIOR_VAR)
 
     def sampling_scale(self):
         return np.full(self.theta_dim, np.sqrt(_LOG_PRIOR_VAR))

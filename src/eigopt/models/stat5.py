@@ -156,22 +156,21 @@ class Stat5Model(Model):
     # -- dynamics -------------------------------------------------------------
 
     def _rhs(self, state, epor_t, k1, k2, rate):
-        """Time derivative of [x1, x2, x3, x4, q1..qN]; qN tracks the
-        delayed dimeric population."""
-        x1 = state[..., 0]
-        x2 = state[..., 1]
-        x3 = state[..., 2]
-        q = state[..., 4:]
-        x3_delayed = q[..., -1]
+        """Time derivative of [x1, x2, x4, x3, q1..qN]; qN tracks the
+        delayed dimeric population.  x3 sits just before the chain it
+        feeds, so the whole chain moves in one array operation; `rate` has
+        a trailing unit axis."""
+        x1, x2, x3, x3_delayed = state[..., 0], state[..., 1], state[..., 3], state[..., -1]
         drive = k1 * x1 * epor_t
         x2sq = x2 * x2
+        export = k2 * x3
+        reimport = k2 * x3_delayed
         out = np.empty_like(state)
-        out[..., 0] = -drive + k2 * x3_delayed
-        out[..., 1] = -x2sq + drive
-        out[..., 2] = -k2 * x3 + x2sq
-        out[..., 3] = -k2 * x3_delayed + k2 * x3
-        out[..., 4] = rate * (x3 - q[..., 0])
-        out[..., 5:] = rate[..., None] * (q[..., :-1] - q[..., 1:])
+        out[..., 0] = reimport - drive
+        out[..., 1] = drive - x2sq
+        out[..., 2] = export - reimport
+        out[..., 3] = x2sq - export
+        out[..., 4:] = rate * (state[..., 3:-1] - state[..., 4:])
         return out
 
     def solve_paths(self, theta_values) -> np.ndarray:
@@ -184,37 +183,33 @@ class Stat5Model(Model):
         k1 = th[..., 0]
         k2 = th[..., 1]
         tau = th[..., 2]
-        rate = self.chain_length / tau
+        rate = (self.chain_length / tau)[..., None]
         batch = th.shape[:-1]
         n_state = 4 + self.chain_length
         state = np.zeros(batch + (n_state,))
         state[..., 0] = self.x1_init
         h = self.rk_step
         n_grid = self.grid.size
-        obs = np.empty(batch + (n_grid, 2))
-        self._store_obs(obs, 0, state)
+        # x1, x2, x4, x3 on the grid; the observables are formed at the end.
+        traj = np.empty(batch + (n_grid, 4))
+        traj[..., 0, :] = state[..., :4]
         e1, e2, e3, e4 = self._stage_epor
-        for step in range(n_grid - 1):
-            k_a = self._rhs(state, e1[step], k1, k2, rate)
-            k_b = self._rhs(state + (h / 3.0) * k_a, e2[step], k1, k2, rate)
-            k_c = self._rhs(state + h * (k_b - k_a / 3.0), e3[step], k1, k2, rate)
-            k_d = self._rhs(state + h * (k_a - k_b + k_c), e4[step], k1, k2, rate)
-            state = state + (h / 8.0) * (k_a + 3.0 * k_b + 3.0 * k_c + k_d)
-            if not np.all(np.isfinite(state)):
-                raise FloatingPointError(
-                    f"stat5: non-finite state at t={self.grid[step + 1]:.3f} "
-                    f"for theta={th}"
-                )
-            self._store_obs(obs, step + 1, state)
-        return obs
-
-    @staticmethod
-    def _store_obs(obs, idx, state):
-        x1 = state[..., 0]
-        x2 = state[..., 1]
-        x3 = state[..., 2]
-        obs[..., idx, 0] = _S1 * (x2 + x3)
-        obs[..., idx, 1] = _S2 * (x1 + x2 + x3)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for step in range(n_grid - 1):
+                k_a = self._rhs(state, e1[step], k1, k2, rate)
+                k_b = self._rhs(state + (h / 3.0) * k_a, e2[step], k1, k2, rate)
+                k_c = self._rhs(state + h * (k_b - k_a / 3.0), e3[step], k1, k2, rate)
+                k_d = self._rhs(state + h * (k_a - k_b + k_c), e4[step], k1, k2, rate)
+                state = state + (h / 8.0) * (k_a + 3.0 * k_b + 3.0 * k_c + k_d)
+                traj[..., step + 1, :] = state[..., :4]
+        # A non-finite component stays non-finite under the update, so the
+        # final state shows every path that left the floats on the way.
+        bad = ~np.isfinite(state).all(axis=-1)
+        if bad.any():
+            theta = th[np.unravel_index(np.argmax(bad), bad.shape)]
+            raise FloatingPointError(f"stat5: non-finite state by t={self.t_max:g}, theta={theta}")
+        x1, x2, x3 = traj[..., 0], traj[..., 1], traj[..., 3]
+        return np.stack([_S1 * (x2 + x3), _S2 * (x1 + x2 + x3)], axis=-1)
 
     def _interp_at(self, paths, channel, lam):
         """Linearly interpolate one observable channel at design times.
@@ -254,7 +249,7 @@ class Stat5Model(Model):
     def sampling_log_prior(self, z):
         z = np.asarray(z, dtype=float)
         # Density of logit(U): product of sigmoid(z) * (1 - sigmoid(z)).
-        return float(-(np.logaddexp(0.0, z) + np.logaddexp(0.0, -z)).sum())
+        return -(np.logaddexp(0.0, z) + np.logaddexp(0.0, -z)).sum(axis=-1)
 
     def sampling_scale(self):
         return np.full(self.theta_dim, np.pi / np.sqrt(3.0))

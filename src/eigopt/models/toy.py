@@ -33,7 +33,7 @@ class ToyModel(Model):
 
     def log_prior(self, theta_values):
         th = np.asarray(theta_values, dtype=float)
-        return 0.0 if np.all((th >= 0.0) & (th <= 1.0)) else -np.inf
+        return np.where(np.all((th >= 0.0) & (th <= 1.0), axis=-1), 0.0, -np.inf)
 
     def forward(self, theta_values, lam):
         th = np.asarray(theta_values, dtype=float)[..., 0:1]

@@ -1,15 +1,22 @@
-"""Posterior samplers: coordinate-wise slice sampling, adaptive random-walk
-Metropolis-Hastings, and exact conjugate draws where a model provides them.
+"""Posterior samplers: coordinate-wise slice sampling (Neal 2003), adaptive
+random-walk Metropolis-Hastings (Haario et al. 2001), and exact conjugate
+draws where a model provides them.
 
-Chains run in each model's unconstrained sampling space (identity, log, or
-logit coordinates; Jacobians live in `Model.sampling_log_prior`).  A chain
-started from an exact posterior draw is stationary from step one, so there
-is no burn-in phase: thinning controls correlation, not bias.
+All chains of a call run in lockstep on one (chains, d) array, one target
+call per slice step-out or shrink round and per Metropolis step.  Chain c
+draws from its own generator what it would draw alone, in the same order,
+so its draws do not depend on the rest of the batch.  Chains run in each
+model's unconstrained sampling space (Jacobians live in
+`Model.sampling_log_prior`) and start, without burn-in, at the generating
+theta: an exact posterior draw for its own observation, so each state is
+marginally a posterior draw, but one correlated with the start.  Paired
+with quantities of that theta, as in the UEEG posterior term, this is a
+bias towards 0 at large EIG that thinning reduces but does not remove.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -17,15 +24,7 @@ import numpy as np
 from . import dual
 from .models.base import Model, SimBudget, design_values
 
-__all__ = [
-    "SamplerConfig",
-    "Chain",
-    "run_chain",
-    "slice_update_1d",
-    "AdaptiveMHState",
-    "adaptive_mh_step",
-    "posterior_draws",
-]
+__all__ = ["SamplerConfig", "Chain", "run_chain", "posterior_draws"]
 
 KINDS = ("slice", "adaptive_mh", "exact")
 
@@ -52,7 +51,11 @@ class SamplerConfig:
 
 @dataclass
 class Chain:
-    """Ordered thinned draws plus sampling diagnostics."""
+    """Thinned draws of a batch of chains plus sampling diagnostics.
+
+    `draws` is (chains, n_samples, d); `accept_rate` is the mean over the
+    chains and `n_target_evals` the total, start points included.
+    """
 
     draws: np.ndarray
     accept_rate: float
@@ -60,169 +63,147 @@ class Chain:
     n_target_evals: int
 
 
-def slice_update_1d(
-    log_target_slice: Callable[[float], float],
-    x0: float,
-    log_fx0: float,
-    width: float,
-    max_stepout: int,
-    rng: np.random.Generator,
-) -> tuple[float, float, int]:
-    """One slice-sampling update of a scalar coordinate.
+def _slice_update(x0, log_fx0, width, max_stepout, rng):
+    """Slice update of one coordinate (Neal 2003): stepping out, capped at
+    `max_stepout` steps per side, then shrinkage.
 
-    `log_fx0` is the log target at x0, which the caller already holds, so
-    x0 is not evaluated again.  Stepping-out then shrinkage; expansion is
-    capped at `max_stepout` steps per side, after which shrinkage takes over
-    (never an error).  Returns (new point, its log target, number of target
-    evaluations).
+    A coroutine: it yields each point to evaluate, is sent that point's log
+    target, and returns (new point, its log target).  The current point's
+    log target is `log_fx0`, so x0 is not evaluated again.
     """
-    if not np.isfinite(log_fx0):
-        raise ValueError("slice sampling requires a finite log target at x0")
-    n_evals = 0
-    log_level = log_fx0 + np.log(rng.uniform())
-    r = rng.uniform()
-    left = x0 - r * width
+    level = log_fx0 + np.log(rng.uniform())
+    left = x0 - rng.uniform() * width
     right = left + width
     for _ in range(max_stepout):
-        if log_target_slice(left) <= log_level:
-            n_evals += 1
+        if (yield left) <= level:
             break
-        n_evals += 1
         left -= width
     for _ in range(max_stepout):
-        if log_target_slice(right) <= log_level:
-            n_evals += 1
+        if (yield right) <= level:
             break
-        n_evals += 1
         right += width
     while True:
         x1 = rng.uniform(left, right)
-        log_fx1 = log_target_slice(x1)
-        n_evals += 1
-        if log_fx1 > log_level:
-            return x1, log_fx1, n_evals
+        log_fx1 = yield x1
+        if log_fx1 > level:
+            return x1, log_fx1
         if x1 < x0:
             left = x1
         elif x1 > x0:
             right = x1
         else:
             # Interval shrank to the current point; keep it.
-            return x0, log_fx0, n_evals
+            return x0, log_fx0
 
 
-@dataclass
-class AdaptiveMHState:
-    """Random-walk Metropolis state with a streaming covariance estimate."""
-
-    x: np.ndarray
-    log_fx: float
-    adapt_start: int
-    n_steps: int = 0
-    n_accepted: int = 0
-    n_evals: int = 0
-    mean: np.ndarray = None
-    m2: np.ndarray = None
-    init_sd: float = 0.1
-    jitter: float = 1e-6
-
-    def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=float)
-        d = self.x.size
-        if self.mean is None:
-            self.mean = self.x.copy()
-        if self.m2 is None:
-            self.m2 = np.zeros((d, d))
-
-    @property
-    def accept_rate(self) -> float:
-        return self.n_accepted / self.n_steps if self.n_steps else 0.0
-
-    def proposal_cov(self) -> np.ndarray:
-        d = self.x.size
-        if self.n_accepted < self.adapt_start or self.n_steps < 2:
-            return self.init_sd ** 2 * np.eye(d)
-        cov = self.m2 / (self.n_steps - 1)
-        return (2.38 ** 2 / d) * cov + self.jitter * np.eye(d)
+def _slice_sweep(log_target, x, log_fx, widths, max_stepout, rngs) -> int:
+    """One slice update of every coordinate of every chain, in place, each
+    chain in its own random coordinate order.  Each round evaluates the
+    next point of every chain whose update is still running.  Returns the
+    number of target evaluations over all chains."""
+    n_chains, d = x.shape
+    perms = np.array([g.permutation(d) for g in rngs])
+    n_evals = 0
+    for j in range(d):
+        coord = perms[:, j]
+        updates = [
+            _slice_update(x[c, k], log_fx[c], widths[k], max_stepout, rngs[c])
+            for c, k in enumerate(coord)
+        ]
+        points = {c: next(u) for c, u in enumerate(updates)}
+        while points:
+            live = list(points)
+            z = np.full_like(x, np.nan)
+            z[live] = x[live]
+            z[live, coord[live]] = list(points.values())
+            val = log_target(z)
+            n_evals += len(live)
+            for c in live:
+                try:
+                    points[c] = updates[c].send(val[c])
+                except StopIteration as done:
+                    x[c, coord[c]], log_fx[c] = done.value
+                    del points[c]
+    return n_evals
 
 
-def adaptive_mh_step(
-    state: AdaptiveMHState,
-    log_target: Callable[[np.ndarray], float],
-    rng: np.random.Generator,
-) -> AdaptiveMHState:
-    """One Metropolis step with a Gaussian random-walk proposal whose
-    covariance follows the chain history once enough moves were accepted."""
-    chol = np.linalg.cholesky(state.proposal_cov())
-    prop = state.x + chol @ rng.standard_normal(state.x.size)
-    log_fp = log_target(prop)
-    state.n_evals += 1
-    if np.log(rng.uniform()) < log_fp - state.log_fx:
-        state.x = prop
-        state.log_fx = log_fp
-        state.n_accepted += 1
-    state.n_steps += 1
-    delta = state.x - state.mean
-    state.mean = state.mean + delta / state.n_steps
-    state.m2 = state.m2 + np.outer(delta, state.x - state.mean)
-    return state
+def _adaptive_mh(log_target, x, log_fx, cfg: SamplerConfig, rngs, draws) -> int:
+    """Random-walk Metropolis steps for every chain, in place, keeping every
+    `thinning`-th state in `draws`.  Returns the accepted moves over all
+    chains."""
+    n_chains, d = x.shape
+    # Proposals are N(0, 0.1^2 I) until a chain has accepted mh_adapt_start
+    # moves, then follow its running covariance, refactored at every step.
+    chol = np.repeat(np.linalg.cholesky(0.1 ** 2 * np.eye(d))[None], n_chains, axis=0)
+    mean = x.copy()
+    m2 = np.zeros((n_chains, d, d))
+    accepted = np.zeros(n_chains, dtype=int)
+    adapted = np.zeros(0, dtype=int)
+    step = np.empty_like(x)
+    u = np.empty(n_chains)
+    n_steps = 0
+    for i in range(cfg.n_samples):
+        for _ in range(cfg.thinning):
+            if adapted.size and n_steps >= 2:
+                cov = m2[adapted] / (n_steps - 1)
+                chol[adapted] = np.linalg.cholesky((2.38 ** 2 / d) * cov + 1e-6 * np.eye(d))
+            for c, g in enumerate(rngs):
+                step[c] = chol[c] @ g.standard_normal(d)
+                u[c] = g.uniform()
+            prop = x + step
+            log_fp = log_target(prop)
+            acc = np.log(u) < log_fp - log_fx
+            if acc.any():
+                x[acc] = prop[acc]
+                log_fx[acc] = log_fp[acc]
+                accepted += acc
+                adapted = np.flatnonzero(accepted >= cfg.mh_adapt_start)
+            n_steps += 1
+            delta = x - mean
+            mean += delta / n_steps
+            m2 += delta[:, :, None] * (x - mean)[:, None, :]
+        draws[:, i] = x
+    return int(accepted.sum())
 
 
 def run_chain(
-    log_target: Callable[[np.ndarray], float],
+    log_target: Callable[[np.ndarray], np.ndarray],
     init,
     cfg: SamplerConfig,
-    rng: np.random.Generator,
+    rngs: Sequence[np.random.Generator],
     widths: np.ndarray | None = None,
 ) -> Chain:
-    """Run an MCMC chain and keep every `thinning`-th state after the start.
+    """Run one chain per row of `init` in lockstep, each on its own
+    generator of `rngs`, and keep every `thinning`-th state after the start.
 
-    `log_target` maps a coordinate vector to a log density; `init` is a
-    vector with finite log target.  `widths` sets per-coordinate slice
-    widths (defaults to all-ones scaled by cfg.slice_width).  The draws are
-    an (n_samples, d) array.
+    `log_target` maps a (chains, d) array to (chains,) log densities.  In a
+    slice round, the rows of chains that are not evaluated are NaN; the
+    target must give them a non-finite value, which is ignored.  Every row
+    of `init` needs a finite log target.  `widths` sets per-coordinate slice
+    widths (defaults to all-ones scaled by cfg.slice_width).
     """
     if cfg.kind == "exact":
         raise ValueError("exact sampling needs a model; use posterior_draws")
     x = np.array(init, dtype=float)
-    log_fx = log_target(x)
-    n_evals = 1
-    if not np.isfinite(log_fx):
+    n_chains, d = x.shape
+    if len(rngs) != n_chains:
+        raise ValueError(f"{n_chains} chains need as many generators, got {len(rngs)}")
+    log_fx = np.asarray(log_target(x), dtype=float)
+    if not np.isfinite(log_fx).all():
         raise ValueError("run_chain requires a finite log target at init")
-    d = x.size
-    if widths is None:
-        widths = np.ones(d)
-    widths = cfg.slice_width * np.asarray(widths, dtype=float)
+    draws = np.empty((n_chains, cfg.n_samples, d))
+    if cfg.kind == "adaptive_mh":
+        accepted = _adaptive_mh(log_target, x, log_fx, cfg, rngs, draws)
+        steps = n_chains * cfg.n_samples * cfg.thinning
+        return Chain(draws, accepted / steps, cfg.thinning, n_chains + steps)
 
-    draws = np.empty((cfg.n_samples, d))
-    if cfg.kind == "slice":
-        for i in range(cfg.n_samples):
-            for _ in range(cfg.thinning):
-                for coord in rng.permutation(d):
-                    def along(v, _c=coord):
-                        trial = x.copy()
-                        trial[_c] = v
-                        return log_target(trial)
-
-                    new, log_fx, used = slice_update_1d(
-                        along, x[coord], log_fx, widths[coord], cfg.slice_max_stepout, rng
-                    )
-                    x = x.copy()
-                    x[coord] = new
-                    n_evals += used
-            draws[i] = x
-        return Chain(draws, accept_rate=1.0, thinning=cfg.thinning, n_target_evals=n_evals)
-
-    state = AdaptiveMHState(x=x, log_fx=log_fx, adapt_start=cfg.mh_adapt_start)
+    widths = cfg.slice_width * (np.ones(d) if widths is None else np.asarray(widths, dtype=float))
+    n_evals = n_chains
     for i in range(cfg.n_samples):
         for _ in range(cfg.thinning):
-            state = adaptive_mh_step(state, log_target, rng)
-        draws[i] = state.x
-    return Chain(
-        draws,
-        accept_rate=state.accept_rate,
-        thinning=cfg.thinning,
-        n_target_evals=n_evals + state.n_evals,
-    )
+            n_evals += _slice_sweep(log_target, x, log_fx, widths, cfg.slice_max_stepout, rngs)
+        draws[:, i] = x
+    return Chain(draws, accept_rate=1.0, thinning=cfg.thinning, n_target_evals=n_evals)
 
 
 def posterior_draws(
@@ -231,20 +212,21 @@ def posterior_draws(
     lam,
     cfg: SamplerConfig,
     budget: SimBudget,
-    rng: np.random.Generator,
+    rngs: Sequence[np.random.Generator],
     init_theta: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Draw from the posterior of theta given observation y at design lam.
+    """Draw from the posteriors of theta given each observation row of y
+    (chains, obs_dim) at design lam, one chain per row on its own generator.
 
-    Returns an (n_samples, theta_dim) array of theta values.  MCMC kinds
-    start from `init_theta` (no burn-in; see module docstring) and charge
-    `budget` one forward evaluation per target evaluation with a finite
-    prior, except at the start: the caller has already paid for the
-    forward at its own theta, and the target there is evaluated at
-    `init_theta` itself.  A kept draw still at the start is `init_theta`
-    bit for bit, although the round trip through sampling space may not be.
-    The exact kind draws from the model's conjugate posterior and charges
-    nothing.
+    Returns a (chains, n_samples, theta_dim) array of theta values.  MCMC
+    kinds start chain c from `init_theta[c]` (no burn-in; see module
+    docstring) and charge `budget` one forward evaluation per target
+    evaluation with a finite prior, except at a chain's start: the caller
+    has already paid for the forward at its own theta, and the target there
+    is evaluated at `init_theta[c]` itself.  A kept draw still at the start
+    is `init_theta[c]` bit for bit, although the round trip through sampling
+    space may not be.  The exact kind draws from the model's conjugate
+    posterior and charges nothing.
     """
     y_val = dual.value_of(y)
     lam_v = design_values(lam)
@@ -252,25 +234,29 @@ def posterior_draws(
         sampler = getattr(model, "conjugate_posterior_sample_batch", None)
         if sampler is None:
             raise ValueError(f"model {model.name} has no exact posterior sampler")
-        return sampler(y_val[None, :], lam_v, cfg.n_samples, rng)[0]
+        return np.stack(
+            [sampler(y_val[c:c + 1], lam_v, cfg.n_samples, g)[0] for c, g in enumerate(rngs)]
+        )
 
     if init_theta is None:
         raise ValueError("MCMC posterior sampling needs an initial theta")
     theta0 = np.asarray(init_theta, dtype=float)
     z0 = model.to_sampling_space(theta0)
 
-    def log_target(z: np.ndarray) -> float:
+    def log_target(z: np.ndarray) -> np.ndarray:
         lp = model.sampling_log_prior(z)
-        if not np.isfinite(lp):
-            return -np.inf
-        if np.array_equal(z, z0):
-            theta = theta0
-        else:
-            theta = model.from_sampling_space(z)
-            budget.charge(1)
-        return lp + float(model.log_likelihood(y_val, theta, lam_v))
+        at_start = (z == z0).all(axis=1)
+        theta = np.where(at_start[:, None], theta0, model.from_sampling_space(z))
+        ok = np.isfinite(lp)
+        budget.charge(np.count_nonzero(ok & ~at_start))
+        if ok.all():
+            return lp + model.log_likelihood(y_val, theta, lam_v)
+        out = np.full(lp.shape, -np.inf)
+        out[ok] = lp[ok] + model.log_likelihood(y_val[ok], theta[ok], lam_v)
+        return out
 
-    chain = run_chain(log_target, z0, cfg, rng, widths=model.sampling_scale())
+    chain = run_chain(log_target, z0, cfg, rngs, widths=model.sampling_scale())
     draws = np.array(model.from_sampling_space(chain.draws), dtype=float)
-    draws[np.all(chain.draws == z0, axis=1)] = theta0
+    at_start = np.all(chain.draws == z0[:, None, :], axis=-1)
+    draws[at_start] = np.broadcast_to(theta0[:, None, :], draws.shape)[at_start]
     return draws

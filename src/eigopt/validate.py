@@ -90,8 +90,8 @@ def posterior_entropy(
 
     Each trial simulates one observation from the prior predictive, draws
     kde_n posterior samples (chains start at the generating parameters,
-    which are exact posterior draws), and scores the resubstitution KDE
-    entropy in the model's entropy space.
+    which are exact posterior draws; all trials' chains run in lockstep),
+    and scores the resubstitution KDE entropy in the model's entropy space.
     """
     if trials < 1 or kde_n < 2:
         raise ValueError("need trials >= 1 and kde_n >= 2")
@@ -99,14 +99,15 @@ def posterior_entropy(
     cfg = replace(sampler_cfg, n_samples=kde_n)
     entropies = np.empty(trials)
     bw = np.zeros(model.theta_dim)
+    # Each trial owns a child stream: theta, then eps, then its chain.
     child = rng.spawn(trials)
+    thetas = np.concatenate([model.sample_prior_values(c, 1) for c in child])
+    eps = np.concatenate([model.sample_noise_values(c, 1) for c in child])
+    y = model.observe(model.forward(thetas, lam_v), eps)
+    model.require_finite(y, thetas, lam_v)
+    draws = posterior_draws(model, y, lam_v, cfg, SimBudget(), child, init_theta=thetas)
     for t in range(trials):
-        theta = model.sample_prior_values(child[t], 1)[0]
-        eps = model.sample_noise_values(child[t], 1)[0]
-        y = model.observe(model.forward(theta, lam_v), eps)
-        model.require_finite(y, theta, lam_v)
-        draws = posterior_draws(model, y, lam_v, cfg, SimBudget(), child[t], init_theta=theta)
-        ent, h = kde_entropy(model.entropy_space(draws))
+        ent, h = kde_entropy(model.entropy_space(draws[t]))
         entropies[t] = ent
         bw += h / trials
     se = float(entropies.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0

@@ -266,20 +266,25 @@ class TestChunkedKernels:
         assert est.std_error == float(np.std(terms, ddof=1) / np.sqrt(M))
         assert budget.forward_evals == M * (N + 1)
 
-    @pytest.mark.parametrize("name", ["srnmc_value", "pce_value"])
+    @pytest.mark.parametrize("name", ["srnmc_value", "pce_value", "pce_gradient"])
     def test_peak_memory_bounded_at_large_sizes(self, name):
-        # M = N = 2000 on the model of the PK `eig` config, in a fresh
+        # M = N = 2000 (M = 400 for the gradient, whose inner forwards carry
+        # design tangents) on the model of the PK `eig` config, in a fresh
         # process whose peak resident set (ru_maxrss, KiB on Linux) is its own
-        args = "2000, rng" if name == "srnmc_value" else "2000, 2000, rng"
+        call = {
+            "srnmc_value": "eig_est.srnmc_value(model, lam, 2000, rng)",
+            "pce_value": "eig_est.pce_value(model, lam, 2000, 2000, rng)",
+            "pce_gradient": "grad_est.pce_gradient(model, lam, 400, 2000, rng)",
+        }[name]
         code = (
             "import resource, sys\n"
             "import numpy as np\n"
-            "from eigopt import eig_est\n"
+            "from eigopt import eig_est, grad_est\n"
             "from eigopt.config import ExperimentConfig\n"
             "model = ExperimentConfig.from_yaml(sys.argv[1]).build_model()\n"
             "rng = np.random.default_rng(0)\n"
             "lam = model.random_design(rng)\n"
-            f"eig_est.{name}(model, lam, {args})\n"
+            f"{call}\n"
             "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
         )
         run = subprocess.run(

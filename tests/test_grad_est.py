@@ -38,15 +38,17 @@ IDENTITY_CASES = [
 
 def per_draw_ueeg_reference(model, lam, M, cfg, rng):
     """UEEG-MCMC gradient with one likelihood tangent per draw, summed
-    draw by draw; each outer sample's child stream draws theta, then eps,
-    then its chain, as in `ueeg_mcmc_gradient`."""
+    draw by draw, and each chain run alone; each outer sample's child stream
+    draws theta, then eps, then its chain, as in `ueeg_mcmc_gradient`."""
     lam_dual = lift_design(lam)
     terms = []
     for child in rng.spawn(M):
         theta = model.sample_prior_values(child, 1)[0]
         eps = model.sample_noise_values(child, 1)[0]
         y = model.observe(model.forward(theta, lam_dual), eps)
-        draws = posterior_draws(model, y, lam, cfg, SimBudget(), child, init_theta=theta)
+        draws = posterior_draws(
+            model, y.value[None], lam, cfg, SimBudget(), [child], init_theta=theta[None]
+        )[0]
         t_own = model.log_likelihood(y, theta, lam_dual).tangent
         t_post = np.zeros_like(t_own)
         for theta_p in draws:

@@ -344,6 +344,15 @@ class TestStat5:
         with pytest.raises(FloatingPointError, match="stat5"):
             m.solve_paths(np.array([1e12, 0.1, 6.0]))
 
+    def test_nonfinite_row_of_a_batch_is_named(self):
+        # tau = 1e-3 makes the delay chain far too stiff for the RK step
+        m = Stat5Model()
+        thetas = np.array([[[1.0, 0.1, 6.0], [2.0, 0.15, 5.0]],
+                           [[1.5, 0.1, 1e-3], [2.0, 0.1, 4.0]]])
+        with pytest.raises(FloatingPointError, match=r"theta=\[1\.5e\+00 1\.0e-01 1\.0e-03\]$"):
+            m.solve_paths(thetas)
+        assert np.all(np.isfinite(m.solve_paths(thetas[0])))
+
 
 class TestEpoRCurve:
     def test_csv_roundtrip(self, tmp_path):
