@@ -2,10 +2,9 @@
 
 A `Dual` pairs an array of primal values with a tangent array carrying one
 extra trailing axis of fixed width d, one slot per design dimension.  All
-arithmetic follows the chain rule exactly; comparisons act on primal values
-only.  Functions in this module (`exp`, `log`, `logsumexp`, ...) accept
-either a Dual or a plain array, so model code can be written once and run
-with or without derivative tracking.
+arithmetic follows the chain rule exactly.  Functions in this module
+(`exp`, `log`, `logsumexp`, ...) accept either a Dual or a plain array, so
+model code can be written once and run with or without derivative tracking.
 
 Duals are immutable values and safe to share across threads.
 """
@@ -22,8 +21,6 @@ __all__ = [
     "grad_check",
     "exp",
     "log",
-    "sqrt",
-    "tanh",
     "absolute",
     "dsum",
     "dmean",
@@ -76,11 +73,6 @@ class Dual:
         out.tangent = tangent
         return out
 
-    @classmethod
-    def constant(cls, value, width: int) -> "Dual":
-        value = np.asarray(value, dtype=float)
-        return cls._raw(value, np.zeros(value.shape + (width,)))
-
     @property
     def width(self) -> int:
         return self.tangent.shape[-1]
@@ -93,9 +85,6 @@ class Dual:
     def ndim(self) -> int:
         return self.value.ndim
 
-    def __len__(self) -> int:
-        return len(self.value)
-
     def __float__(self) -> float:
         return float(self.value)
 
@@ -106,19 +95,6 @@ class Dual:
 
     def __repr__(self) -> str:
         return f"Dual(value={self.value!r}, tangent={self.tangent!r})"
-
-    def sum(self, axis=None) -> "Dual":
-        return dsum(self, axis=axis)
-
-    def mean(self, axis=None) -> "Dual":
-        return dmean(self, axis=axis)
-
-    def reshape(self, *shape) -> "Dual":
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        value = self.value.reshape(shape)
-        tangent = np.ascontiguousarray(self.tangent).reshape(value.shape + (self.width,))
-        return Dual._raw(value, tangent)
 
     # -- arithmetic -------------------------------------------------------
 
@@ -178,58 +154,11 @@ class Dual:
         tan = (self.tangent - t * val[..., None]) / v[..., None]
         return Dual._raw(val, tan)
 
-    def __rtruediv__(self, other):
-        if np.any(self.value == 0.0):
-            raise ZeroDivisionError("division by zero primal value")
-        v = np.asarray(other, dtype=float)
-        val = v / self.value
-        tan = -self.tangent * (val / self.value)[..., None]
-        return Dual._raw(val, tan)
-
-    def __pow__(self, p):
-        if isinstance(p, Dual):
-            return exp(p * log(self))
-        p = float(p)
-        v = self.value
-        if p != int(p) and np.any(v < 0.0):
-            raise ValueError("negative base with non-integer exponent")
-        if p < 1.0 and p != 0.0 and np.any(v == 0.0):
-            raise ValueError("zero base with exponent < 1 has no finite tangent")
-        if p == 0.0:
-            return Dual._raw(np.ones_like(v), np.zeros_like(self.tangent))
-        val = v ** p
-        deriv = p * v ** (p - 1.0)
-        return Dual._raw(val, self.tangent * deriv[..., None])
-
     def __abs__(self):
         # Subgradient convention: sign(0) == 0, so the tangent at a kink is 0.
         return Dual._raw(
             np.abs(self.value), self.tangent * np.sign(self.value)[..., None]
         )
-
-    def _cmp(self, other, op):
-        v = other.value if isinstance(other, Dual) else np.asarray(other, dtype=float)
-        return op(self.value, v)
-
-    def __lt__(self, other):
-        return self._cmp(other, np.less)
-
-    def __le__(self, other):
-        return self._cmp(other, np.less_equal)
-
-    def __gt__(self, other):
-        return self._cmp(other, np.greater)
-
-    def __ge__(self, other):
-        return self._cmp(other, np.greater_equal)
-
-    def __eq__(self, other):  # value comparison, like the other orderings
-        return self._cmp(other, np.equal)
-
-    def __ne__(self, other):
-        return self._cmp(other, np.not_equal)
-
-    __hash__ = None
 
 
 def value_of(x) -> np.ndarray:
@@ -274,22 +203,6 @@ def log(x):
     if np.any(x.value <= 0.0):
         raise ValueError("log of non-positive primal value")
     return Dual._raw(np.log(x.value), x.tangent / x.value[..., None])
-
-
-def sqrt(x):
-    if not isinstance(x, Dual):
-        return np.sqrt(x)
-    if np.any(x.value < 0.0):
-        raise ValueError("sqrt of negative primal value")
-    val = np.sqrt(x.value)
-    return Dual._raw(val, x.tangent * (0.5 / val)[..., None])
-
-
-def tanh(x):
-    if not isinstance(x, Dual):
-        return np.tanh(x)
-    val = np.tanh(x.value)
-    return Dual._raw(val, x.tangent * (1.0 - val * val)[..., None])
 
 
 def absolute(x):

@@ -8,11 +8,11 @@ along reparameterized sampling paths y = g(theta, eps, lam):
   sampling is exact.  MCMC chains start at the generating theta, whose
   tangents the posterior term uses too; their draws are not independent of
   it, which biases the gradient towards 0 at large EIG (see `samplers`).
-  With an MCMC sampler it charges M own forwards plus one per distinct
-  chain state with a finite prior; the M chains run in lockstep.  The kept
-  draws' tangents come from one batched dual forward that is not charged:
-  every kept draw is a chain state whose forward was already paid for (the
-  start's by the own batch).
+  It charges M own forwards plus what `posterior_draws` charges: N per
+  outer sample for exact draws, or one per distinct chain state with a
+  finite prior, the M chains running in lockstep.  The kept draws' tangents
+  come from one batched dual forward that is not charged again: every kept
+  draw is already paid for (a chain's start by the own batch).
 * `beeg_ap_gradient`   - replaces the posterior by a softmax over one shared
   batch of prior atoms; algebraically the gradient of the sample-reuse EIG
   estimator, at cost M forward evaluations per call.
@@ -34,7 +34,7 @@ import numpy as np
 from . import dual
 from .errors import EstimatorError
 from .models.base import Model, SimBudget, design_values
-from .samplers import SamplerConfig, posterior_draws
+from .samplers import SamplerConfig, outer_samples, posterior_draws
 
 __all__ = ["GradEstimate", "ueeg_mcmc_gradient", "beeg_ap_gradient", "pce_gradient"]
 
@@ -216,9 +216,9 @@ def ueeg_mcmc_gradient(
     posterior draws.  With kind="exact" the posterior draws are exact and
     the estimator is unbiased; with an MCMC kind it is biased by the
     chains' dependence on their start (see `samplers`).
-    Costs M forward evaluations plus, with kind="exact", M*N for the draws
-    and, with an MCMC kind, one per chain target evaluation with a finite
-    prior away from the chain's start.
+    Costs M forward evaluations plus what `posterior_draws` charges: M*N
+    with kind="exact", and with an MCMC kind one per chain target
+    evaluation with a finite prior away from the chain's start.
     """
     budget = budget if budget is not None else SimBudget()
     budget.new_design_version()
@@ -226,32 +226,18 @@ def ueeg_mcmc_gradient(
     lam_v = design_values(lam)
     lam_dual = dual.lift_design(lam_v)
     N = sampler_cfg.n_samples
-
-    if sampler_cfg.kind == "exact":
-        batch_sampler = getattr(model, "conjugate_posterior_sample_batch", None)
-        if batch_sampler is None:
-            raise EstimatorError(f"model {model.name} has no exact posterior sampler")
-        thetas, eps = _draw_batch(model, rng, M)
-    else:
-        # Each outer sample owns a child stream: theta, then eps, then its chain.
-        child_rngs = rng.spawn(M)
-        thetas = np.concatenate([model.sample_prior_values(c, 1) for c in child_rngs])
-        eps = np.concatenate([model.sample_noise_values(c, 1) for c in child_rngs])
+    # Exact draws take the outer batch and then all normals from `rng`; an
+    # MCMC outer sample owns a child stream: theta, then eps, then its chain.
+    rngs = [rng] * M if sampler_cfg.kind == "exact" else rng.spawn(M)
+    thetas, eps = outer_samples(model, rngs)
     f = model.forward(thetas, lam_dual)
     budget.charge(M)
     y = model.observe(f, eps)
     model.require_finite(y, thetas, lam_v)
-
-    if sampler_cfg.kind == "exact":
-        post = batch_sampler(y.value, lam_v, N, rng)
-        budget.charge(M * N)
-    else:
-        try:
-            post = posterior_draws(
-                model, y.value, lam_v, sampler_cfg, budget, child_rngs, init_theta=thetas
-            )
-        except Exception as exc:
-            raise EstimatorError(f"posterior chains failed: {exc}") from exc
+    try:
+        post = posterior_draws(model, y.value, lam_v, sampler_cfg, budget, rngs, init_theta=thetas)
+    except Exception as exc:
+        raise EstimatorError(f"posterior chains failed: {exc}") from exc
     f_post = model.forward(post, lam_dual)
     _, d_dy0, d_df0 = model.log_density_value_and_partials(y.value, f.value)
     _, d_dyp, d_dfp = model.log_density_value_and_partials(y.value[:, None, :], f_post.value)

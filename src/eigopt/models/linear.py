@@ -9,6 +9,8 @@ rest of the package uses as ground truth.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from .. import dual
@@ -62,16 +64,18 @@ class LinearModel(Model):
         return mean, cov
 
     def conjugate_posterior_sample_batch(
-        self, ys: np.ndarray, lam, n_draws: int, rng: np.random.Generator
+        self, ys: np.ndarray, lam, n_draws: int, rngs: Sequence[np.random.Generator]
     ) -> np.ndarray:
-        """Exact posterior draws for a batch of observations: (M, n_draws, 3)."""
+        """Exact posterior draws for a batch of observations: (M, n_draws, 3).
+        Row c draws its normals from `rngs[c]`; one generator passed M times
+        draws them as one (M, n_draws, 3) batch."""
         ys = np.asarray(ys, dtype=float)
         D = self._design_matrix(design_values(lam))
         prec = np.eye(self.theta_dim) + D.T @ D / self.sigma2
         cov = np.linalg.inv(prec)
         chol = np.linalg.cholesky(cov)
         means = ys @ D @ cov.T / self.sigma2  # (M, 3)
-        z = rng.standard_normal((ys.shape[0], n_draws, self.theta_dim))
+        z = np.stack([g.standard_normal((n_draws, self.theta_dim)) for g in rngs])
         return means[:, None, :] + z @ chol.T
 
 

@@ -24,7 +24,7 @@ import numpy as np
 from . import dual
 from .models.base import Model, SimBudget, design_values
 
-__all__ = ["SamplerConfig", "Chain", "run_chain", "posterior_draws"]
+__all__ = ["SamplerConfig", "Chain", "run_chain", "outer_samples", "posterior_draws"]
 
 KINDS = ("slice", "adaptive_mh", "exact")
 
@@ -206,6 +206,14 @@ def run_chain(
     return Chain(draws, accept_rate=1.0, thinning=cfg.thinning, n_target_evals=n_evals)
 
 
+def outer_samples(model: Model, rngs: Sequence[np.random.Generator]):
+    """One prior draw and its noise per generator of `rngs`, every theta
+    before every eps."""
+    thetas = np.concatenate([model.sample_prior_values(g, 1) for g in rngs])
+    eps = np.concatenate([model.sample_noise_values(g, 1) for g in rngs])
+    return thetas, eps
+
+
 def posterior_draws(
     model: Model,
     y,
@@ -225,8 +233,9 @@ def posterior_draws(
     has already paid for the forward at its own theta, and the target there
     is evaluated at `init_theta[c]` itself.  A kept draw still at the start
     is `init_theta[c]` bit for bit, although the round trip through sampling
-    space may not be.  The exact kind draws from the model's conjugate
-    posterior and charges nothing.
+    space may not be.  The exact kind ignores `init_theta`, draws from the
+    model's conjugate posterior in one batched call and charges n_samples
+    forward evaluations per chain.
     """
     y_val = dual.value_of(y)
     lam_v = design_values(lam)
@@ -234,9 +243,9 @@ def posterior_draws(
         sampler = getattr(model, "conjugate_posterior_sample_batch", None)
         if sampler is None:
             raise ValueError(f"model {model.name} has no exact posterior sampler")
-        return np.stack(
-            [sampler(y_val[c:c + 1], lam_v, cfg.n_samples, g)[0] for c, g in enumerate(rngs)]
-        )
+        draws = sampler(y_val, lam_v, cfg.n_samples, rngs)
+        budget.charge(len(rngs) * cfg.n_samples)
+        return draws
 
     if init_theta is None:
         raise ValueError("MCMC posterior sampling needs an initial theta")

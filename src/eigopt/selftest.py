@@ -8,7 +8,7 @@ import numpy as np
 from . import dual
 from .eig_est import srnmc_dual_gradient, srnmc_value
 from .grad_est import beeg_ap_gradient
-from .models import LinearModel, PKModel, SimBudget, ToyModel, linear_eig_oracle
+from .models import LinearModel, PKModel, SimBudget, ToyModel, linear_eig_oracle, linear_eig_value
 from .rng import substream
 
 SEED = 20240901
@@ -20,19 +20,10 @@ def _check_ad(fast: bool):
     n_designs = 5 if fast else 20
     for _ in range(n_designs):
         lam = rng.uniform(-1, 1, 3)
-        err = dual.grad_check(lambda v: _eig_fn(v, lam), lam)
+        err = dual.grad_check(lambda v: linear_eig_value(v, 1.0), lam)
         errs.append(err)
     worst = max(errs)
     return worst < 1e-6, f"closed-form EIG dual vs central differences: max rel err {worst:.2e}"
-
-
-def _eig_fn(v, lam):
-    from .models.linear import linear_eig_value
-
-    if isinstance(v, dual.Dual):
-        return linear_eig_value(v, 1.0)
-    out = linear_eig_value(np.asarray(v, dtype=float), 1.0)
-    return out
 
 
 def _check_cap(fast: bool):

@@ -23,7 +23,7 @@ from .models.base import Model, SimBudget, design_values
 from .models.linear import LinearModel, linear_eig_oracle
 from .optim import OptimConfig, make_grad_fn
 from .rng import substream
-from .samplers import SamplerConfig, posterior_draws
+from .samplers import SamplerConfig, outer_samples, posterior_draws
 
 __all__ = [
     "EntropyReport",
@@ -101,8 +101,7 @@ def posterior_entropy(
     bw = np.zeros(model.theta_dim)
     # Each trial owns a child stream: theta, then eps, then its chain.
     child = rng.spawn(trials)
-    thetas = np.concatenate([model.sample_prior_values(c, 1) for c in child])
-    eps = np.concatenate([model.sample_noise_values(c, 1) for c in child])
+    thetas, eps = outer_samples(model, child)
     y = model.observe(model.forward(thetas, lam_v), eps)
     model.require_finite(y, thetas, lam_v)
     draws = posterior_draws(model, y, lam_v, cfg, SimBudget(), child, init_theta=thetas)

@@ -255,6 +255,16 @@ class TestCliRuns:
         names = [line.split(":")[0] for line in outs[0].splitlines()]
         assert names == list(BIAS_STUDY_ESTIMATORS)
 
+    def test_import_leaves_out_scipy(self):
+        # scipy is a test dependency only; importing the package must not load it.
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = "import sys, eigopt, eigopt.config, eigopt.cli; print('scipy' in sys.modules)"
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True)
+        assert run.stdout.strip() == "False"
+
     def test_bias_study_csv_schema(self, tmp_path):
         out = tmp_path / "b"
         cfg = (

@@ -20,7 +20,7 @@ class TestLiftDesign:
         np.testing.assert_array_equal(x.tangent, np.eye(2))
 
     def test_sum_of_components_is_linear(self):
-        s = lift_design([1.0, 2.0]).sum()
+        s = dual.dsum(lift_design([1.0, 2.0]))
         assert float(s) == 3.0
         np.testing.assert_array_equal(s.tangent, [1.0, 1.0])
 
@@ -57,24 +57,9 @@ class TestElementaryOps:
         np.testing.assert_array_equal(y.value, [2.0, 0.0, 3.0])
         np.testing.assert_array_equal(y.tangent[:, 0], [-1.0, 0.0, 1.0])
 
-    def test_pow_and_sqrt(self):
-        x = Dual(4.0, [1.0])
-        np.testing.assert_allclose((x ** 3).tangent, [48.0])
-        np.testing.assert_allclose(dual.sqrt(x).tangent, [0.25])
-
-    def test_tanh(self):
-        x = Dual(0.3, [1.0])
-        np.testing.assert_allclose(dual.tanh(x).tangent, [1.0 - np.tanh(0.3) ** 2])
-
-    def test_comparisons_use_values(self):
-        assert Dual(1.0, [100.0]) < Dual(2.0, [-100.0])
-        assert Dual(2.0, [0.0]) >= 2.0
-
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             dual.log(Dual(-1.0, [1.0]))
-        with pytest.raises(ValueError):
-            dual.sqrt(Dual(-1.0, [1.0]))
         with pytest.raises(ZeroDivisionError):
             Dual(1.0, [1.0]) / Dual(0.0, [1.0])
 
@@ -94,7 +79,7 @@ class TestElementaryOps:
         b = a + np.zeros((4, 3))
         assert b.shape == (4, 3)
         assert b.tangent.shape == (4, 3, 2)
-        s = b.sum(axis=0)
+        s = dual.dsum(b, axis=0)
         np.testing.assert_array_equal(s.tangent, 4 * np.ones((3, 2)))
 
 
@@ -105,7 +90,7 @@ class TestReductions:
         t = rng.normal(size=(4, 5, 3))
         x = Dual(v, t)
         got = dual.logsumexp(x, axis=1)
-        ref = dual.log(dual.exp(x).sum(axis=1))
+        ref = dual.log(dual.dsum(dual.exp(x), axis=1))
         np.testing.assert_allclose(got.value, ref.value, rtol=1e-12)
         np.testing.assert_allclose(got.tangent, ref.tangent, rtol=1e-12)
 
@@ -121,7 +106,7 @@ class TestReductions:
 
     def test_mean_and_getitem(self):
         x = lift_design([1.0, 3.0])
-        m = x.mean()
+        m = dual.dmean(x)
         assert float(m) == 2.0
         np.testing.assert_array_equal(m.tangent, [0.5, 0.5])
         np.testing.assert_array_equal(x[1].tangent, [0.0, 1.0])
@@ -135,10 +120,10 @@ class TestChainRuleProperty:
 
             def f(v):
                 x0, x1 = v[0], v[1]
-                out = dual.exp(x0 * a) * dual.tanh(x1)
+                out = dual.exp(x0 * a) / (x1 * x1 + 1.0)
                 out = out + dual.log(x0 * x0 + b) / (x1 + c)
-                out = out + dual.sqrt(x0 + 2.0) - abs(x1 - 0.25)
-                return out.sum() if hasattr(out, "sum") else out
+                out = out + dual.log(x0 + 2.0) * (1.0 - x1) - abs(x1 - 0.25)
+                return dual.dsum(-out)
 
             lam = rng.uniform(0.3, 1.2, size=2)
             assert grad_check(f, lam) < 1e-6
@@ -158,7 +143,7 @@ class TestChainRuleProperty:
 class TestGradCheck:
     def test_quadratic_is_exact_to_roundoff(self):
         def f(v):
-            return (v * v).sum() if isinstance(v, Dual) else float(np.sum(v * v))
+            return dual.dsum(v * v)
 
         assert grad_check(f, np.array([3.0]), h=1e-5) < 1e-8
 

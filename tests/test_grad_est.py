@@ -57,6 +57,30 @@ def per_draw_ueeg_reference(model, lam, M, cfg, rng):
     return np.mean(terms, axis=0)
 
 
+def one_batch_exact_ueeg_reference(model, lam, M, N, rng):
+    """UEEG gradient and forward evaluations with exact posterior draws: the
+    outer batch, then all M*N normals as one (M, N, 3) draw from `rng`."""
+    lam_dual = lift_design(lam)
+    thetas = model.sample_prior_values(rng, M)
+    eps = model.sample_noise_values(rng, M)
+    f = model.forward(thetas, lam_dual)
+    y = model.observe(f, eps)
+    D = model._design_matrix(lam)
+    cov = np.linalg.inv(np.eye(3) + D.T @ D / model.sigma2)
+    means = y.value @ D @ cov.T / model.sigma2
+    z = rng.standard_normal((M, N, 3))
+    post = means[:, None, :] + z @ np.linalg.cholesky(cov).T
+    f_post = model.forward(post, lam_dual)
+    _, d_dy0, d_df0 = model.log_density_value_and_partials(y.value, f.value)
+    _, d_dyp, d_dfp = model.log_density_value_and_partials(y.value[:, None, :], f_post.value)
+    ay = np.mean(d_dy0[:, None, :] - d_dyp, axis=1)
+    af = np.mean(
+        (d_df0[..., None] * f.tangent)[:, None] - d_dfp[..., None] * f_post.tangent, axis=1
+    )
+    grad = (np.einsum("at,atk->k", ay, y.tangent) + af.sum(axis=(0, 1))) / M
+    return grad, M * (N + 1)
+
+
 def unchunked_beeg_ap_gradient(model, lam, thetas, eps):
     """BEEG-AP from the whole M x M likelihood matrix and one contraction."""
     M = thetas.shape[0]
@@ -201,6 +225,20 @@ class TestUeegMcmc:
         ueeg_mcmc_gradient(model, np.zeros(3), 11, cfg, np.random.default_rng(0), budget)
         assert budget.forward_evals == 11 * (7 + 1)
 
+    @pytest.mark.parametrize("M", [1, 11, 200])
+    def test_exact_matches_one_batch_reference(self, M):
+        model = LinearModel(n_obs=3, sigma2=0.5)
+        lam = np.array([0.3, -0.8, 0.6])
+        for N in (1, 7):
+            budget = SimBudget()
+            cfg = SamplerConfig(kind="exact", n_samples=N)
+            est = ueeg_mcmc_gradient(model, lam, M, cfg, substream(8, "exact", M, N), budget)
+            ref, evals = one_batch_exact_ueeg_reference(
+                model, lam, M, N, substream(8, "exact", M, N)
+            )
+            np.testing.assert_array_equal(est.gradient, ref)
+            assert budget.forward_evals == est.forward_evals_used == evals
+
     def test_mcmc_cost_at_most_m_times_l_plus_one(self):
         model = ToyModel(0.1)
         budget = SimBudget()
@@ -332,6 +370,15 @@ class TestChunkedKernels:
 
 
 class TestFailureModes:
+    def test_exact_kind_needs_conjugate_sampler(self):
+        budget = SimBudget()
+        with pytest.raises(EstimatorError, match="no exact posterior sampler"):
+            ueeg_mcmc_gradient(
+                ToyModel(0.1), np.array([0.4, 0.6]), 3, SamplerConfig(kind="exact"),
+                np.random.default_rng(0), budget,
+            )
+        assert budget.forward_evals == 3  # the own forwards, before the draws
+
     def test_all_dead_row_raises_with_index(self):
         # atoms that cannot explain an observation: tiny noise, distant thetas
         model = ToyModel(noise_sd=1e-6)

@@ -276,7 +276,7 @@ class TestConjugatePosterior:
         m = LinearModel(n_obs=3, sigma2=1e8)
         rng = np.random.default_rng(0)
         lam = np.array([0.5, -0.5, 0.2])
-        draws = m.conjugate_posterior_sample_batch(np.zeros((1, 3)), lam, 100_000, rng)[0]
+        draws = m.conjugate_posterior_sample_batch(np.zeros((1, 3)), lam, 100_000, [rng])[0]
         cov = np.cov(draws.T)
         np.testing.assert_allclose(cov, np.eye(3), atol=0.02)
 
@@ -286,7 +286,7 @@ class TestConjugatePosterior:
         lam = np.array([0.3, 0.9, -0.4])
         y = np.array([1.0, -0.5, 0.25])
         mean, cov = m.posterior_moments(y, lam)
-        draws = m.conjugate_posterior_sample_batch(y[None, :], lam, 100_000, rng)[0]
+        draws = m.conjugate_posterior_sample_batch(y[None, :], lam, 100_000, [rng])[0]
         se = np.sqrt(np.diag(cov) / 1e5)
         np.testing.assert_array_less(np.abs(draws.mean(axis=0) - mean), 4 * se)
 
@@ -303,7 +303,7 @@ class TestConjugatePosterior:
         draws = np.stack(
             [
                 m.conjugate_posterior_sample_batch(
-                    y[None, :], lam, 1, np.random.default_rng(s)
+                    y[None, :], lam, 1, [np.random.default_rng(s)]
                 )[0, 0]
                 for s in range(20_000)
             ]

@@ -143,10 +143,17 @@ LOCKSTEP_CFGS = [
     SamplerConfig(kind="adaptive_mh", thinning=10, n_samples=6, mh_adapt_start=3),
 ]
 LOCKSTEP_IDS = ["slice", "slice-narrow", "adaptive_mh"]
+POSTERIOR_CASES = [
+    pytest.param(model, cfg, id=f"{name}-{cfg_id}")
+    for name, model in (("pk", PKModel()), ("toy", ToyModel(0.1)))
+    for cfg, cfg_id in zip(LOCKSTEP_CFGS, LOCKSTEP_IDS)
+] + [pytest.param(LinearModel(n_obs=2, sigma2=0.5), SamplerConfig(kind="exact", n_samples=6),
+                  id="linear-exact")]
 
 
 class TestLockstep:
-    """A chain run in a batch is the same chain run alone, bit for bit."""
+    """A chain run in a batch is the same chain run alone, bit for bit;
+    exact draws agree to rounding, as their transform is batched."""
 
     @pytest.mark.parametrize("cfg", LOCKSTEP_CFGS, ids=LOCKSTEP_IDS)
     def test_run_chain_batch_equals_chains_alone(self, cfg):
@@ -164,8 +171,7 @@ class TestLockstep:
             steps = cfg.thinning * cfg.n_samples
             assert min(a.accept_rate for a in alone) * steps > cfg.mh_adapt_start
 
-    @pytest.mark.parametrize("cfg", LOCKSTEP_CFGS, ids=LOCKSTEP_IDS)
-    @pytest.mark.parametrize("model", [PKModel(), ToyModel(0.1)], ids=["pk", "toy"])
+    @pytest.mark.parametrize("model,cfg", POSTERIOR_CASES)
     def test_posterior_draws_batch_equals_chains_alone(self, model, cfg):
         lam = model.random_design(np.random.default_rng(2)).values
         rng = np.random.default_rng(3)
@@ -182,7 +188,12 @@ class TestLockstep:
             )
             for c, g in enumerate(np.random.default_rng(4).spawn(4))
         ]
-        np.testing.assert_array_equal(batch, np.concatenate(alone))
+        alone = np.concatenate(alone)
+        if cfg.kind == "exact":
+            assert np.max(np.abs(batch - alone)) <= 1e-14 * np.max(np.abs(alone))
+            assert budget.forward_evals == 4 * cfg.n_samples
+        else:
+            np.testing.assert_array_equal(batch, alone)
         assert budget.forward_evals == alone_budget.forward_evals
         assert np.any(batch != thetas[:, None, :])
 
@@ -210,7 +221,7 @@ class TestPosteriorDraws:
         rng = np.random.default_rng(1)
         last = np.empty(2000)
         for r in range(last.size):
-            init = model.conjugate_posterior_sample_batch(y[None, :], lam, 1, rng)[0]
+            init = model.conjugate_posterior_sample_batch(y[None, :], lam, 1, [rng])[0]
             draws = posterior_draws(model, y[None], lam, cfg, SimBudget(), [rng], init_theta=init)
             last[r] = draws[0, -1, 0]
         res = stats.kstest(last, "norm", args=(mean[0], np.sqrt(cov[0, 0])))
